@@ -329,13 +329,25 @@ class CsrMatrix:
 
     def diagonal_values(self) -> np.ndarray:
         """Extract the main diagonal (zeros where no entry is stored)."""
-        diag = np.zeros(min(self.shape), dtype=self.dtype)
-        for i in range(min(self.shape)):
-            start, end = self.indptr[i], self.indptr[i + 1]
-            row_cols = self.indices[start:end]
-            hits = np.nonzero(row_cols == i)[0]
-            if hits.size:
-                diag[i] = self.data[start:end][hits].sum()
+        return self._diagonal_sums(0, min(self.shape), self.dtype)
+
+    def _diagonal_sums(self, offset: int, length: int, dtype) -> np.ndarray:
+        """Entries ``(i, i + offset)`` for ``i < length``, as ``dtype``.
+
+        Zero where no entry is stored.  Each value is the ``sum()`` of
+        the row's entries at that column in the storage dtype, taken in
+        stored order, exactly as a per-row loop would: ``sum()`` starts
+        from +0.0, so a lone -0.0 entry reads as 0.0, and duplicates
+        (rare) are summed row by row.
+        """
+        diag = np.zeros(length, dtype=dtype)
+        row_ids = np.repeat(np.arange(self.n_rows), np.diff(self.indptr))
+        hits = np.flatnonzero(self.indices == row_ids + offset)
+        hit_rows = row_ids[hits]
+        diag[hit_rows] = self.data[hits] + 0
+        repeated = hit_rows[1:] == hit_rows[:-1]
+        for i in np.unique(hit_rows[1:][repeated]):
+            diag[i] = self.data[hits[hit_rows == i]].sum()
         return diag
 
     def row(self, i: int) -> Tuple[np.ndarray, np.ndarray]:

@@ -215,12 +215,9 @@ class DistributedRowMatrix:
 
     def diagonal(self) -> DistributedVector:
         """The locally owned part of the global diagonal."""
-        diag_local = np.zeros(self.local_rows, dtype=np.float64)
-        for i in range(self.local_rows):
-            cols, vals = self.local_block.row(i)
-            hits = np.nonzero(cols == i + self.row_offset)[0]
-            if hits.size:
-                diag_local[i] = vals[hits].sum()
+        diag_local = self.local_block._diagonal_sums(
+            self.row_offset, self.local_rows, np.float64
+        )
         return DistributedVector(self.comm, diag_local, self.global_shape[0], self.row_offset)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -87,6 +87,32 @@ class TestCsrMatrix:
         matrix = CsrMatrix.from_dense(dense)
         assert np.allclose(matrix.diagonal_values(), [0.0, 5.0])
 
+    def test_diagonal_values_sum_duplicates_like_a_row_loop(self):
+        # Row 0 holds two diagonal entries, row 1 a lone -0.0, row 2
+        # three entries among off-diagonal ones, row 3 none.
+        indptr = [0, 3, 5, 9, 10]
+        indices = [0, 0, 1, 1, 0, 2, 2, 3, 2, 0]
+        data = [1.1, 2.3, 5.0, -0.0, 4.0, 1e-8, 3.3, 1.0, 7.7, 0.1]
+        for dtype, storage in ((np.float64, None), (np.float32, np.float16)):
+            matrix = CsrMatrix(indptr, indices, data, (4, 4),
+                               dtype=dtype, storage=storage)
+            expected = np.zeros(4, dtype=dtype)
+            for i in range(4):
+                cols, vals = matrix.row(i)
+                if np.any(cols == i):
+                    expected[i] = vals[cols == i].sum()
+            diag = matrix.diagonal_values()
+            assert diag.dtype == np.dtype(dtype)
+            assert diag.tobytes() == expected.tobytes()
+            assert not np.signbit(diag[1])
+
+    def test_diagonal_values_of_rectangular_matrices(self, rng):
+        for shape in ((3, 5), (5, 3)):
+            dense = rng.standard_normal(shape)
+            assert np.array_equal(
+                CsrMatrix.from_dense(dense).diagonal_values(), np.diagonal(dense)
+            )
+
     def test_row_access(self):
         matrix = poisson_1d(5)
         cols, vals = matrix.row(2)
@@ -282,6 +308,17 @@ class TestPreconditioners:
         assert ranges[0][0] == 0 and ranges[-1][1] == poisson_small.n_rows
         assert all(ranges[i][1] == ranges[i + 1][0] for i in range(3))
 
+    def test_block_jacobi_sliced_blocks_match_dense_blocks(self, rng):
+        # n = 2304 > 2048: blocks come from CSR slices, not to_dense().
+        matrix = poisson_2d(48)
+        precond = BlockJacobiPreconditioner(matrix, n_blocks=5)
+        b = rng.standard_normal(matrix.n_rows)
+        expected = np.zeros_like(b)
+        for start, stop in precond.block_ranges:
+            block = matrix.row_slice(start, stop).to_dense()[:, start:stop]
+            expected[start:stop] = np.linalg.inv(block) @ b[start:stop]
+        assert np.array_equal(precond.apply(b), expected)
+
     def test_block_jacobi_validation(self, poisson_tiny):
         with pytest.raises(ValueError):
             BlockJacobiPreconditioner(poisson_tiny, n_blocks=0)
@@ -415,6 +452,21 @@ class TestDistributed:
 
         for diag in run_spmd(3, program):
             assert np.allclose(diag, poisson_tiny.diagonal_values())
+
+    def test_distributed_diagonal_matches_global(self):
+        indptr = [0, 3, 5, 9, 10]
+        indices = [0, 0, 1, 1, 0, 2, 2, 3, 2, 0]
+        data = [1.1, 2.3, 5.0, -0.5, 4.0, 1e-8, 3.3, 1.0, 7.7, 0.1]
+        matrix = CsrMatrix(indptr, indices, data, (4, 4))
+
+        def program(comm):
+            local = DistributedRowMatrix.from_global(comm, matrix).diagonal().local
+            return local.dtype, local
+
+        ranks = run_spmd(3, program)
+        assert all(dtype == np.float64 for dtype, _ in ranks)
+        gathered = np.concatenate([local for _, local in ranks])
+        assert gathered.tobytes() == matrix.diagonal_values().tobytes()
 
     def test_distribution_mismatch_rejected(self):
         def program(comm):

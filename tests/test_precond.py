@@ -13,6 +13,9 @@ Four contract surfaces, mirroring ``tests/test_solver_registry.py``:
   assertion: FGMRES with an ``unreliable(...)``-wrapped preconditioner
   converges to the reliable answer while the same fault model on the
   reliable-path operator degrades it.
+* The SSOR kernel -- the level-scheduled sweeps are bit-identical to
+  the row-by-row sweeps they replaced, and agree with an independent
+  dense triangular-solve oracle.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +32,13 @@ from repro import precond, reliability
 from repro.krylov import default_solver_registry
 from repro.krylov.fgmres import fgmres
 from repro.krylov.gmres import gmres
-from repro.linalg import poisson_2d
+from repro.linalg import (
+    CsrMatrix,
+    convection_diffusion_2d,
+    diagonally_dominant,
+    poisson_2d,
+    poisson_3d,
+)
 from repro.linalg.precond import (
     BlockJacobiPreconditioner,
     JacobiPreconditioner,
@@ -402,6 +412,176 @@ class TestSelectiveReliabilityParity:
         )
         degraded = (not result.converged) or error > self.PARITY
         assert degraded, (result.converged, error)
+
+
+# ---------------------------------------------------------------------------
+# SSOR kernel: level-scheduled sweeps vs the row loop and a dense oracle
+# ---------------------------------------------------------------------------
+
+def _row_loop_ssor(matrix, vector, omega):
+    """Reference: the row-by-row SSOR apply the level schedule replaced."""
+    diag = matrix.diagonal_values()
+    b = np.asarray(vector, dtype=np.float64)
+    n = matrix.n_rows
+    x = np.zeros(n, dtype=np.float64)
+    for i in range(n):
+        cols, vals = matrix.row(i)
+        acc = b[i]
+        lower = cols < i
+        acc -= vals[lower] @ x[cols[lower]]
+        x[i] = omega * acc / diag[i]
+    y = x.copy()
+    for i in range(n - 1, -1, -1):
+        cols, vals = matrix.row(i)
+        acc = diag[i] * x[i] / omega
+        upper = cols > i
+        acc -= vals[upper] @ y[cols[upper]]
+        y[i] = omega * acc / diag[i]
+    return y
+
+
+_SSOR_MATRICES = {
+    "poisson_2d": lambda: poisson_2d(9),
+    "poisson_3d": lambda: poisson_3d(5),
+    "convection_diffusion_2d": lambda: convection_diffusion_2d(8),
+    # ~40 entries per row: many rows have more than 8 lower entries.
+    "diagonally_dominant": lambda: diagonally_dominant(200, density=0.2, rng=11),
+}
+
+
+def _lower_counts(matrix):
+    rows = np.repeat(np.arange(matrix.n_rows), np.diff(matrix.indptr))
+    return np.bincount(rows[matrix.indices < rows], minlength=matrix.n_rows)
+
+
+def _assert_bitwise_equal(actual, expected):
+    assert actual.dtype == expected.dtype == np.float64
+    assert np.array_equal(actual, expected, equal_nan=True)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+class TestSsorKernel:
+    @pytest.mark.parametrize("omega", [0.7, 1.0, 1.5])
+    @pytest.mark.parametrize("name", sorted(_SSOR_MATRICES))
+    def test_level_schedule_matches_row_loop(self, name, omega):
+        matrix = _SSOR_MATRICES[name]()
+        b = np.random.default_rng(3).standard_normal(matrix.n_rows)
+        ssor = SsorPreconditioner(matrix, omega=omega)
+        _assert_bitwise_equal(ssor.apply(b), _row_loop_ssor(matrix, b, omega))
+
+    def test_reference_covers_long_rows(self):
+        counts = _lower_counts(_SSOR_MATRICES["diagonally_dominant"]())
+        assert np.count_nonzero(counts > 8) > 10
+
+    @pytest.mark.parametrize("storage", [np.float32, np.float16])
+    def test_reduced_precision_matrices_match_row_loop(self, storage):
+        base = convection_diffusion_2d(7)
+        matrix = base.astype(np.float32, storage=storage)
+        assert matrix.data.dtype == np.dtype(storage)
+        b = np.random.default_rng(5).standard_normal(matrix.n_rows)
+        for omega in (0.7, 1.0, 1.5):
+            out = SsorPreconditioner(matrix, omega=omega).apply(b)
+            _assert_bitwise_equal(out, _row_loop_ssor(matrix, b, omega))
+
+    @pytest.mark.parametrize("name", sorted(_SSOR_MATRICES))
+    def test_nonfinite_inputs_match_row_loop(self, name):
+        matrix = _SSOR_MATRICES[name]()
+        b = np.random.default_rng(7).standard_normal(matrix.n_rows)
+        b[::7] = np.inf
+        b[3::11] = -np.inf
+        b[5::13] = np.nan
+        b[1::17] = -0.0
+        with np.errstate(invalid="ignore", over="ignore"):
+            for omega in (0.7, 1.0, 1.5):
+                out = SsorPreconditioner(matrix, omega=omega).apply(b)
+                _assert_bitwise_equal(out, _row_loop_ssor(matrix, b, omega))
+
+    def test_empty_and_single_row_matrices(self):
+        empty = CsrMatrix([0], [], [], (0, 0))
+        assert SsorPreconditioner(empty).apply(np.zeros(0)).shape == (0,)
+        single = CsrMatrix.from_dense(np.array([[4.0]]))
+        assert SsorPreconditioner(single, omega=1.0).apply(np.array([2.0]))[0] == 0.5
+
+    def test_forward_schedule_follows_the_wavefront(self):
+        # 2-D Poisson in natural order: row (i, j) sits at level i + j,
+        # so a sweep has 2*grid - 1 levels.  Levels 2..grid-1 split into
+        # a k = 1 (boundary) and a k = 2 (interior) group: 3*grid - 3
+        # groups in all.
+        grid = 9
+        groups = SsorPreconditioner(poisson_2d(grid))._forward
+        levels = []
+        for rows, _, _, _ in groups:
+            wave = rows // grid + rows % grid
+            assert np.all(wave == wave[0])
+            levels.append(int(wave[0]))
+        assert levels == sorted(levels)
+        assert len(set(levels)) == 2 * grid - 1
+        assert len(groups) == 3 * grid - 3
+
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_stacked_matmul_is_the_per_row_dot(self, k):
+        """Pin the bit-identity argument: a stacked ``(m,1,k) @ (m,k,1)``
+        matmul computes every row with the same dot as ``vals @ x``.
+
+        The level schedule depends on this (short BLAS ``ddot`` kernels
+        may accumulate with FMA, which other formulations do not
+        reproduce); a numpy or BLAS upgrade that breaks it fails here.
+        The values are padded like the schedule's to cover its strides.
+        """
+        rng = np.random.default_rng(k)
+        m = 64
+        vals = rng.standard_normal((m, k + 3))
+        xs = rng.standard_normal((m, k)) * 10.0 ** rng.integers(-8, 8, (m, k))
+        stacked = np.matmul(vals[:, None, :k], xs[:, :, None])[:, 0, 0]
+        contiguous = np.matmul(
+            np.ascontiguousarray(vals[:, :k])[:, None, :], xs[:, :, None]
+        )[:, 0, 0]
+        per_row = np.array([vals[i, :k].copy() @ xs[i] for i in range(m)])
+        assert stacked.tobytes() == per_row.tobytes()
+        assert contiguous.tobytes() == per_row.tobytes()
+
+    @pytest.mark.parametrize("omega", [0.7, 1.0, 1.2])
+    @pytest.mark.parametrize("name", sorted(_SSOR_MATRICES))
+    def test_matches_dense_triangular_oracle(self, name, omega):
+        """``apply(b) == (D/w + U)^-1 (D/w) (D/w + L)^-1 b`` to rounding.
+
+        Tolerance: both sides apply the same three maps in different
+        orders, so they differ by rounding only.  Write
+        ``D/w + L = (D/w)(I + N_L)`` and likewise for ``U``, with
+        ``r = || |N| ||_inf < 1`` (asserted below).  Substitution is
+        componentwise backward stable, ``|dT| <= g_n |T|`` with
+        ``g_n = n u / (1 - n u)`` (Higham, *Accuracy and Stability of
+        Numerical Algorithms*, Thm 8.5), so a solve's relative forward
+        error is at most ``g_n k`` with Skeel's ``cond(T) <= k =
+        (1 + r) / (1 - r)``.  The forward error reaches ``y`` through
+        ``(I + N_U)^-1`` (gain ``k_U`` relative to ``||y||``), the
+        ``D/w`` scaling adds ``g_2 k_U`` and the backward solve ``g_n
+        k_U``: per side at most ``3 g_n k_L k_U`` to first order, so
+        ``6 g_n k_L k_U`` between the two; the test allows ``8 g_n k_L
+        k_U`` for the second-order terms.  A dropped, duplicated or
+        mis-signed dependency shifts the result by O(1e-2) or more.
+        """
+        matrix = _SSOR_MATRICES[name]()
+        n = matrix.n_rows
+        dense = matrix.to_dense()
+        d_over_w = np.diag(np.diag(dense)) / omega
+        lower = d_over_w + np.tril(dense, -1)
+        upper = d_over_w + np.triu(dense, 1)
+        b = np.random.default_rng(11).standard_normal(n)
+        x = scipy.linalg.solve_triangular(lower, b, lower=True)
+        oracle = scipy.linalg.solve_triangular(upper, d_over_w @ x, lower=False)
+
+        scale = omega / np.abs(np.diag(dense))[:, None]
+        r_lower = np.max(np.sum(np.abs(np.tril(dense, -1)) * scale, axis=1))
+        r_upper = np.max(np.sum(np.abs(np.triu(dense, 1)) * scale, axis=1))
+        assert r_lower < 1.0 and r_upper < 1.0
+        u = np.finfo(np.float64).eps / 2
+        gamma = n * u / (1 - n * u)
+        kappa = (1 + r_lower) / (1 - r_lower) * (1 + r_upper) / (1 - r_upper)
+        tol = 8 * gamma * kappa * np.max(np.abs(oracle))
+
+        out = SsorPreconditioner(matrix, omega=omega).apply(b)
+        assert np.max(np.abs(out - oracle)) <= tol
 
 
 # ---------------------------------------------------------------------------
