@@ -48,10 +48,9 @@ Parity gates therefore compare everything except ``seconds``.
 
 Skeptical (SDC-detecting) lanes replicate the
 :func:`repro.skeptical.gmres_sdc.sdc_detecting_gmres` attempt loop per
-lane, with the cheap checks (finiteness, Hessenberg bound) evaluated as
-vectorized sweeps and the expensive ones (orthogonality,
-residual-consistency) per lane through the real
-:mod:`repro.skeptical.checks` functions.  Only the ``"restart"``
+lane; each cohort step runs the sequential solver's check kernel,
+:func:`repro.skeptical.arnoldi_checks.observe_arnoldi`, once over the
+stacked rows of the skeptical lanes.  Only the ``"restart"``
 response is supported here (an ``"abort"`` would have to kill sibling
 lanes); the registry routes ``skeptical_abort`` solves to the
 sequential fallback.
@@ -75,11 +74,16 @@ from repro.krylov.engine.core import (
 )
 from repro.krylov.engine.orthogonalize import HAPPY_BREAKDOWN_TOL, orthogonalize_many
 from repro.krylov.engine.precondition import RightPreconditioner
-from repro.krylov.engine.resilience import IterationEvent, NullPolicy, compose_policy
+from repro.krylov.engine.resilience import (
+    IterationEvent,
+    NullPolicy,
+    compose_policy,
+    reconstructed_residual,
+)
 from repro.krylov.result import SolveResult
 from repro.linalg.blas import back_substitution, givens_rotation_many
 from repro.linalg.csr import CsrMatrix
-from repro.skeptical.checks import residual_consistency_check
+from repro.skeptical.arnoldi_checks import ArnoldiChecks, observe_arnoldi
 from repro.utils.validation import check_integer, check_positive
 
 __all__ = [
@@ -492,11 +496,11 @@ class _PlainGmresLane:
 class _SdcGmresLane:
     """Lane controller replicating the ``sdc_detecting_gmres`` attempt loop.
 
-    The monitor bookkeeping (observation counter, checks run, flops,
-    detections) persists across attempts exactly as the sequential
-    solver's shared :class:`~repro.skeptical.monitor.SkepticalMonitor`
-    does, while the residual history clears per attempt
-    (``SkepticalGmresPolicy.begin_attempt``).
+    The check counters (:class:`~repro.skeptical.arnoldi_checks.ArnoldiChecks`)
+    persist across attempts exactly as the sequential solver's do,
+    while the residual history clears per attempt
+    (``SkepticalGmresPolicy.begin_attempt``).  Every detection abandons
+    the cycle, so ``detection_restarts`` equals ``detections``.
     """
 
     is_sdc = True
@@ -505,17 +509,10 @@ class _SdcGmresLane:
     def __init__(self, operator, spec: SdcLaneSpec):
         check_integer(spec.check_period, "check_period")
         check_positive(spec.tol, "tol")
-        for name in ("check_period", "orthogonality_period", "residual_check_period"):
-            period = getattr(spec, name)
-            check_integer(period, "period")
-            if period <= 0:
-                raise ValueError("period must be positive")
         if spec.restart <= 0:
             raise ValueError("restart must be positive")
         if spec.maxiter <= 0:
             raise ValueError("maxiter must be positive")
-        check_positive(spec.hessenberg_safety, "safety")
-        check_positive(spec.orthogonality_tol, "tol")
 
         self.operator = spec.operator if spec.operator is not None else operator
         self.b = np.asarray(spec.b, dtype=np.float64)
@@ -523,11 +520,6 @@ class _SdcGmresLane:
         self.maxiter = int(spec.maxiter)
         self.preconditioner = spec.preconditioner
         self.convergence = ConvergenceTest(tol=spec.tol, atol=spec.atol)
-        self.check_period = int(spec.check_period)
-        self.orthogonality_period = int(spec.orthogonality_period)
-        self.residual_check_period = int(spec.residual_check_period)
-        self.hessenberg_safety = float(spec.hessenberg_safety)
-        self.orthogonality_tol = float(spec.orthogonality_tol)
         self.max_restarts_on_detection = int(spec.max_restarts_on_detection)
         self.fault_hook = spec.fault_hook
         if spec.operator_norm is not None:
@@ -537,6 +529,14 @@ class _SdcGmresLane:
             from repro.skeptical.gmres_sdc import estimate_operator_norm
 
             self.norm_estimate = estimate_operator_norm(self.operator, self.b)
+        self.checks = ArnoldiChecks(
+            self.norm_estimate,
+            check_period=spec.check_period,
+            orthogonality_period=spec.orthogonality_period,
+            residual_check_period=spec.residual_check_period,
+            hessenberg_safety=spec.hessenberg_safety,
+            orthogonality_tol=spec.orthogonality_tol,
+        )
 
         self.x_current = (
             np.array(spec.x0, dtype=np.float64, copy=True)
@@ -550,13 +550,6 @@ class _SdcGmresLane:
         self.kernels = canonical_kernel_counters()
         self.target_final = None
         self.attempts = 0
-        # Monitor-equivalent bookkeeping (persists across attempts).
-        self.obs = 0
-        self.checks_run = 0
-        self.check_flops = 0.0
-        self.detections = 0
-        self.detection_restarts = 0
-        self.residual_history: List[float] = []
         self.result: Optional[SolveResult] = None
         self._attempt: Optional[_ArnoldiAttempt] = None
         self._finished = False
@@ -611,8 +604,8 @@ class _SdcGmresLane:
             return False
         self._attempt = _ArnoldiAttempt(self, x=self.x_current, maxiter=remaining)
         # begin_attempt of the skeptical policy: clear the residual
-        # history (the monitor counters persist).
-        self.residual_history = []
+        # history (the check counters persist).
+        self.checks.begin_attempt()
         return True
 
     def _complete_attempt(self):
@@ -635,11 +628,11 @@ class _SdcGmresLane:
             iterations=self.total_iterations,
             residual_norms=self.all_residuals,
             breakdown=self.breakdown,
-            detected_faults=self.detections,
+            detected_faults=self.checks.detections,
             info={
-                "detection_restarts": self.detection_restarts,
-                "checks_run": float(self.checks_run),
-                "check_flops": float(self.check_flops),
+                "detection_restarts": self.checks.detections,
+                "checks_run": float(self.checks.checks_run),
+                "check_flops": float(self.checks.check_flops),
                 "policy": "restart",
                 "operator_norm_estimate": self.norm_estimate,
                 "target": self.target_final,
@@ -664,143 +657,6 @@ def _make_state(a: _ArnoldiAttempt, j: int) -> GmresState:
         residual_norm=a.cycle_residual,
         reconstruct_iterate=reconstruct_iterate,
     )
-
-
-def _true_residual(a: _ArnoldiAttempt, j: int) -> float:
-    """The lazy true-residual of ``SkepticalGmresPolicy.observe``, per lane.
-
-    Non-trivial only at cycle starts (``j == 0``); the reconstruct step
-    charges ``basis_update`` (and ``preconditioner`` when present) to
-    the attempt's counters exactly as the sequential closure does,
-    while the residual matvec itself is uncharged.
-    """
-    if j != 0:
-        return a.cycle_residual
-    try:
-        y = a.lsq.solve(j + 1)
-        x_now = a.precond.apply_update(a.shim, a.x, a.adapter, y, j + 1)
-    except np.linalg.LinAlgError:
-        return a.cycle_residual
-    return float(np.linalg.norm(a.b - np.asarray(ops.matvec(a.operator, x_now))))
-
-
-def _skeptical_checks(sdc_active, j: int, basis: np.ndarray, hess: np.ndarray):
-    """One monitor observation for every active SDC lane of a cohort step.
-
-    Replicates ``SkepticalMonitor.observe`` with the default check set
-    in registration order -- finite basis, finite Hessenberg column,
-    Hessenberg bound, residual monotonicity (all at ``check_period``),
-    then orthogonality and residual consistency at their own periods --
-    counting the failing check and skipping the rest, at most one
-    detection per observation.  The three cheap array checks are
-    evaluated as one vectorized sweep over the due lanes.
-
-    Returns the set of lanes whose abort policy fired (restart response:
-    the cycle is abandoned).
-    """
-    abandoned = set()
-    n = basis.shape[2]
-    due = [(lane, slot) for lane, slot in sdc_active if lane.obs % lane.check_period == 0]
-    if due:
-        slots = [slot for _, slot in due]
-        if slots[0] == 0 and slots[-1] == len(slots) - 1:
-            # Active lanes occupy the leading slots in order, so a due
-            # set covering all of them is a plain slice (views, no
-            # gather copies) -- the check_period=1 common case.
-            rows = slice(0, len(slots))
-        else:
-            rows = np.asarray(slots, dtype=np.intp)
-        fb_pass = np.isfinite(basis[rows, j + 1, :]).all(axis=1)
-        fh_pass = np.isfinite(hess[rows, : j + 2, j]).all(axis=1)
-        window = hess[rows, : j + 2, : j + 1]
-        finite = np.isfinite(window)
-        if finite.all():
-            max_entry = np.abs(window).max(axis=(1, 2))
-        else:
-            any_finite = finite.any(axis=(1, 2))
-            all_finite = finite.all(axis=(1, 2))
-            mx = np.where(finite, np.abs(window), -np.inf).max(axis=(1, 2))
-            max_entry = np.where(any_finite, mx, 0.0)
-            max_entry = np.where(all_finite, max_entry, np.inf)
-        fb_pass = fb_pass.tolist()
-        fh_pass = fh_pass.tolist()
-        max_entry = max_entry.tolist()
-        cost_fb = float(n)
-        cost_fh = float(j + 2)
-        cost_hb = float((j + 2) * (j + 1))
-        for i, (lane, _slot) in enumerate(due):
-            threshold = lane.hessenberg_safety * lane.norm_estimate
-            me = max_entry[i]
-            hb_pass = math.isfinite(me) and me <= threshold
-            failed = False
-            for passed, cost in (
-                (fb_pass[i], cost_fb),
-                (fh_pass[i], cost_fh),
-                (hb_pass, cost_hb),
-            ):
-                lane.checks_run += 1
-                lane.check_flops += cost
-                if not passed:
-                    failed = True
-                    break
-            if not failed:
-                # Inline monotonicity_check(history[-4:]) with the
-                # default window/allowed_increase (zero cost_flops).
-                recent = lane.residual_history[-4:]
-                if len(recent) < 2:
-                    mono_pass = True
-                elif not all(map(math.isfinite, recent)):
-                    mono_pass = False
-                else:
-                    reference = min(recent[:-1])
-                    mono_pass = reference <= 0.0 or recent[-1] / reference <= 1.5
-                lane.checks_run += 1
-                failed = not mono_pass
-            if failed:
-                lane.detections += 1
-                lane.detection_restarts += 1
-                abandoned.add(lane)
-    # Orthogonality defect, vectorized: batched (D, k, n) @ (D, n, k)
-    # Gram matrices are bit-identical to the per-lane ``v.T @ v`` of
-    # orthogonality_check (pinned by the parity suite).
-    ortho = [
-        (lane, slot)
-        for lane, slot in sdc_active
-        if lane not in abandoned and lane.obs % lane.orthogonality_period == 0
-    ]
-    if ortho:
-        k = j + 2
-        slots = [slot for _, slot in ortho]
-        if slots[0] == 0 and slots[-1] == len(slots) - 1:
-            rows = slice(0, len(slots))
-        else:
-            rows = np.asarray(slots, dtype=np.intp)
-        V = basis[rows, :k, :]
-        grams = np.matmul(V, V.transpose(0, 2, 1))
-        finite = np.isfinite(grams).all(axis=(1, 2)).tolist()
-        defect = np.abs(grams - np.eye(k)).max(axis=(1, 2)).tolist()
-        cost = 2.0 * n * k * k
-        for i, (lane, _slot) in enumerate(ortho):
-            d = defect[i] if finite[i] else float("inf")
-            lane.checks_run += 1
-            lane.check_flops += cost
-            if not (math.isfinite(d) and d <= lane.orthogonality_tol):
-                lane.detections += 1
-                lane.detection_restarts += 1
-                abandoned.add(lane)
-    for lane, _slot in sdc_active:
-        if lane in abandoned:
-            continue
-        a = lane._attempt
-        if lane.obs % lane.residual_check_period == 0:
-            check = residual_consistency_check(a.cycle_residual, _true_residual(a, j))
-            lane.checks_run += 1
-            lane.check_flops += check.cost_flops
-            if not check.passed:
-                lane.detections += 1
-                lane.detection_restarts += 1
-                abandoned.add(lane)
-    return abandoned
 
 
 def _swap_slots(order, s: int, t: int, basis, hess, g, giv_c, giv_s) -> None:
@@ -924,7 +780,7 @@ def _run_cohort(operator, lanes, m: int, method: str, n: int) -> None:
         residuals = np.abs(new_gj1).tolist()
 
         # Per-lane bookkeeping and observations.
-        sdc_active = []
+        sdc_slots = []
         for i, a in enumerate(acts):
             a.adapter.n_columns = j + 2
             a.lsq.size = j + 1
@@ -936,9 +792,7 @@ def _run_cohort(operator, lanes, m: int, method: str, n: int) -> None:
             if lane.is_sdc:
                 if lane.fault_hook is not None:
                     lane.fault_hook(_make_state(a, j))
-                lane.residual_history.append(a.cycle_residual)
-                lane.obs += 1
-                sdc_active.append((lane, i))
+                sdc_slots.append(i)
             else:
                 policy = lane.policy
                 if isinstance(policy, NullPolicy):
@@ -954,14 +808,22 @@ def _run_cohort(operator, lanes, m: int, method: str, n: int) -> None:
                             outer=a.outer,
                         )
                     )
-        abandoned = _skeptical_checks(sdc_active, j, basis, hess) if sdc_active else set()
+        abandoned = set()
+        if sdc_slots:
+            sdc = [acts[i] for i in sdc_slots]
+            failed = observe_arnoldi(
+                [a.lane.checks for a in sdc], sdc_slots, j, basis, hess,
+                [a.cycle_residual for a in sdc],
+                lambda t: reconstructed_residual(sdc[t].operator, sdc[t].b,
+                                                 _make_state(sdc[t], 0)),
+            )
+            abandoned = {sdc[t] for t in failed}
 
         # Exits, in the sequential loop's order of precedence.
         happy_l = happy.tolist()
         survive = []
         for i, a in enumerate(acts):
-            lane = a.lane
-            if lane.is_sdc and lane in abandoned:
+            if a in abandoned:
                 a.cycle_outcome = "abandoned"
                 survive.append(False)
                 continue

@@ -41,7 +41,12 @@ from repro.krylov import ops
 from repro.krylov.engine.convergence import ConvergenceTest
 from repro.krylov.engine.orthogonalize import Orthogonalizer
 from repro.krylov.engine.precondition import PreconditionerStrategy
-from repro.krylov.engine.resilience import CycleAbandoned, NullPolicy, ResiliencePolicy
+from repro.krylov.engine.resilience import (
+    CycleAbandoned,
+    IterationEvent,
+    NullPolicy,
+    ResiliencePolicy,
+)
 from repro.krylov.result import SolveResult
 from repro.linalg.blas import HessenbergLsq
 from repro.utils.timing import KernelCounters
@@ -162,6 +167,11 @@ class ArnoldiScheme(IterationScheme):
         operator = engine.operator
         kernels = engine.kernels
         policy = engine.policy
+        # Build only the event the policy reads, as the lockstep path
+        # does: nothing for the bare solver, the scalar event for
+        # policies that ignore the Arnoldi internals.
+        observe = None if isinstance(policy, NullPolicy) else policy.observe
+        full_state = policy.needs_arnoldi_state
         convergence = engine.convergence
         maxiter = self.maxiter
 
@@ -203,23 +213,18 @@ class ArnoldiScheme(IterationScheme):
                 total_iteration += 1
                 residual_norms.append(cycle_residual)
 
-                def reconstruct_iterate(j=j, basis=basis, lsq=lsq, x=x):
-                    # Current LS iterate: cycle-start x plus the
-                    # correction of the j+1 steps taken so far.
-                    y = lsq.solve(j + 1)
-                    return self.preconditioner.apply_update(engine, x, basis, y, j + 1)
+                if observe is not None and full_state:
 
-                policy.observe(
-                    GmresState(
-                        outer=outer,
-                        inner=j,
-                        total_iteration=total_iteration,
-                        basis=basis,
-                        hessenberg=lsq.hessenberg,
-                        residual_norm=cycle_residual,
-                        reconstruct_iterate=reconstruct_iterate,
-                    )
-                )
+                    def reconstruct_iterate(j=j, basis=basis, lsq=lsq, x=x):
+                        # Current LS iterate: cycle-start x plus the
+                        # correction of the j+1 steps taken so far.
+                        y = lsq.solve(j + 1)
+                        return self.preconditioner.apply_update(engine, x, basis, y, j + 1)
+
+                    observe(GmresState(outer, j, total_iteration, basis, lsq.hessenberg,
+                                       cycle_residual, reconstruct_iterate))
+                elif observe is not None:
+                    observe(IterationEvent(total_iteration, cycle_residual, j, outer))
 
                 if not math.isfinite(cycle_residual):
                     breakdown = True

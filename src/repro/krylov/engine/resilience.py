@@ -32,6 +32,8 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from repro.krylov import ops
+
 __all__ = [
     "IterationEvent",
     "CycleAbandoned",
@@ -43,6 +45,7 @@ __all__ = [
     "SkepticalGmresPolicy",
     "FaultInjectionPolicy",
     "compose_policy",
+    "reconstructed_residual",
 ]
 
 
@@ -281,21 +284,43 @@ class FaultInjectionPolicy(ResiliencePolicy):
         result.info["faults_injected"] = int(self.n_injected)
 
 
-class SkepticalGmresPolicy(ResiliencePolicy):
-    """Runs a :class:`~repro.skeptical.monitor.SkepticalMonitor` per iteration.
+def reconstructed_residual(operator, b, event) -> float:
+    """True residual ``||b - A x||`` of the event's current iterate.
 
-    The adapter that used to live inline in
-    :mod:`repro.skeptical.gmres_sdc`: builds the observation dictionary
-    from the Arnoldi iteration event (basis, Hessenberg, residual
-    history, lazy true-residual closure) and translates the monitor's
-    :class:`~repro.skeptical.policies.SkepticalAbort` into either a
-    :class:`CycleAbandoned` (``response="restart"``) or a re-raise
-    (``response="abort"``).
+    ``x`` comes from ``event.reconstruct_iterate()`` (one
+    back-substitution + gemv), so a residual check compares the
+    recurrence against the truth of the SAME iterate.  Falls back to
+    the recurrence residual when the iterate cannot be reconstructed.
+    """
+    if event.reconstruct_iterate is None:
+        return event.residual_norm
+    try:
+        x_now = event.reconstruct_iterate()
+    except np.linalg.LinAlgError:
+        return event.residual_norm
+    return float(np.linalg.norm(b - np.asarray(ops.matvec(operator, x_now))))
+
+
+class SkepticalGmresPolicy(ResiliencePolicy):
+    """Runs skeptical checks on every Arnoldi iteration.
+
+    ``monitor`` is either the default check set, an
+    :class:`~repro.skeptical.arnoldi_checks.ArnoldiChecks` driven
+    through its stacked kernel on views of the live state, or any
+    :class:`~repro.skeptical.monitor.SkepticalMonitor`, which receives
+    an observation dictionary (basis, Hessenberg, residual history,
+    lazy true-residual closure).  A detection becomes either a
+    :class:`CycleAbandoned` (``response="restart"``) or a
+    :class:`~repro.skeptical.policies.SkepticalAbort` (``"abort"``).
     """
 
     name = "skeptical"
 
     def __init__(self, monitor, *, operator, b, response: str = "restart"):
+        # Local imports: repro.skeptical imports the krylov layer.
+        from repro.skeptical.arnoldi_checks import ArnoldiChecks, observe_arnoldi
+        from repro.skeptical.policies import SkepticalAbort
+
         if response not in ("restart", "abort"):
             raise ValueError("response must be 'restart' or 'abort'")
         self.monitor = monitor
@@ -304,49 +329,48 @@ class SkepticalGmresPolicy(ResiliencePolicy):
         self.response = response
         self.residual_history: List[float] = []
         self.detection_restarts = 0
+        self._abort = SkepticalAbort
+        self._kernel = observe_arnoldi if isinstance(monitor, ArnoldiChecks) else None
 
     def begin_attempt(self, x) -> None:
         self.residual_history.clear()
+        if self._kernel is not None:
+            self.monitor.begin_attempt()
 
     def observe(self, event) -> None:
-        # Local import: repro.skeptical imports the krylov layer.
-        from repro.krylov import ops
-        from repro.skeptical.policies import SkepticalAbort
-
+        if self._kernel is not None:
+            if self._kernel(
+                (self.monitor,), (0,), event.inner,
+                event.basis.array.T[None], event.hessenberg[None],
+                (event.residual_norm,),
+                lambda _i: reconstructed_residual(self.operator, self.b, event),
+            ):
+                self._respond(self._abort(self.monitor.last_failure))
+            return
         self.residual_history.append(event.residual_norm)
-
-        def true_residual() -> float:
-            # Reconstruct the current iterate's residual explicitly
-            # (one back-substitution + gemv + matvec), so the
-            # consistency check compares the recurrence against the
-            # truth of the SAME iterate.  Kept rare (cycle starts
-            # only): at other iterations the check degenerates to a
-            # trivial pass, matching the historical cost profile.
-            if event.inner != 0 or event.reconstruct_iterate is None:
-                return event.residual_norm
-            try:
-                x_now = event.reconstruct_iterate()
-            except np.linalg.LinAlgError:
-                return event.residual_norm
-            return float(
-                np.linalg.norm(self.b - np.asarray(ops.matvec(self.operator, x_now)))
-            )
-
         observation = {
             "basis": event.basis,
             "hessenberg": event.hessenberg,
             "inner": event.inner,
             "residual_norm": event.residual_norm,
             "residual_history": self.residual_history,
-            "true_residual": true_residual,
+            # Reconstructed at cycle starts only; elsewhere the check
+            # degenerates to a finiteness test of the recurrence.
+            "true_residual": lambda: (
+                reconstructed_residual(self.operator, self.b, event)
+                if event.inner == 0 else event.residual_norm
+            ),
         }
         try:
             self.monitor.observe(observation)
-        except SkepticalAbort:
-            if self.response == "abort":
-                raise
-            self.detection_restarts += 1
-            raise CycleAbandoned() from None
+        except self._abort as abort:
+            self._respond(abort)
+
+    def _respond(self, abort) -> None:
+        if self.response == "abort":
+            raise abort
+        self.detection_restarts += 1
+        raise CycleAbandoned() from None
 
     def contribute_result(self, result) -> None:
         summary = self.monitor.summary()

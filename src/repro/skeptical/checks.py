@@ -8,6 +8,7 @@ paper's claim that "the cost can be very low".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
@@ -98,7 +99,10 @@ def orthogonality_check(
     if k == 0:
         return CheckResult(name=name, passed=True, measure=0.0, threshold=tol)
     v = basis[:, :k]
-    gram = v.T @ v
+    # A corrupted basis may overflow the Gram matrix; a non-finite Gram
+    # is itself the detection.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = v.T @ v
     defect = float(np.max(np.abs(gram - np.eye(k)))) if np.all(np.isfinite(gram)) else float("inf")
     return CheckResult(
         name=name,
@@ -134,9 +138,9 @@ def hessenberg_bound_check(
         return CheckResult(name=name, passed=True, measure=0.0,
                            threshold=safety * operator_norm_estimate)
     window = h[: k + 1, :k]
-    finite = np.isfinite(window)
-    max_entry = float(np.max(np.abs(window[finite]))) if finite.any() else 0.0
-    if not finite.all():
+    # Any non-finite entry makes the maximum inf or NaN; both report inf.
+    max_entry = float(np.abs(window).max(initial=0.0))
+    if not math.isfinite(max_entry):
         max_entry = float("inf")
     threshold = safety * operator_norm_estimate
     return CheckResult(
@@ -213,11 +217,11 @@ def monotonicity_check(
     ``allowed_increase`` there.)
     """
     check_positive(allowed_increase, "allowed_increase")
-    values = [float(v) for v in history]
-    if len(values) < 2:
+    if len(history) < 2:
         return CheckResult(name=name, passed=True, measure=0.0, threshold=allowed_increase)
-    recent = values[-(window + 1):]
-    if not all(np.isfinite(v) for v in recent):
+    # Only the window is read: O(window) per call on a growing history.
+    recent = [float(v) for v in history[-(window + 1):]]
+    if not all(map(math.isfinite, recent)):
         return CheckResult(name=name, passed=False, measure=float("inf"),
                            threshold=allowed_increase)
     reference = min(recent[:-1])

@@ -4,7 +4,8 @@ The concrete algorithm the paper holds up as an SkP exemplar (§III-A)
 is a GMRES "that detects and, optionally, corrects single bit flips
 very inexpensively as part of the Arnoldi process" (Elliott & Hoemmen).
 This module provides that solver: restarted GMRES whose resilience
-policy runs a :class:`~repro.skeptical.monitor.SkepticalMonitor` with
+policy runs the default check set of
+:mod:`repro.skeptical.arnoldi_checks` --
 
 * a finiteness check of the newest basis vector and Hessenberg column
   (O(n) -- catches exponent-bit flips),
@@ -16,7 +17,7 @@ policy runs a :class:`~repro.skeptical.monitor.SkepticalMonitor` with
 * a periodic residual-consistency check (recurrence vs true residual,
   one extra matvec).
 
-The monitor wiring is the engine's
+The wiring is the engine's
 :class:`~repro.krylov.engine.resilience.SkepticalGmresPolicy`: on
 detection, the configured response applies -- the default ``restart``
 response abandons the corrupted Krylov cycle
@@ -42,17 +43,11 @@ from repro.krylov.engine.resilience import (
 )
 from repro.krylov.gmres import GmresState, gmres
 from repro.krylov.result import SolveResult
-from repro.skeptical.checks import (
-    finite_check,
-    hessenberg_bound_check,
-    monotonicity_check,
-    orthogonality_check,
-    residual_consistency_check,
-)
+from repro.skeptical.arnoldi_checks import ArnoldiChecks
 from repro.skeptical.monitor import SkepticalMonitor
 from repro.utils.validation import check_integer, check_positive
 
-__all__ = ["sdc_detecting_gmres", "default_sdc_monitor", "estimate_operator_norm"]
+__all__ = ["sdc_detecting_gmres", "estimate_operator_norm"]
 
 
 def estimate_operator_norm(operator, probe: np.ndarray, n_samples: int = 4) -> float:
@@ -71,67 +66,6 @@ def estimate_operator_norm(operator, probe: np.ndarray, n_samples: int = 4) -> f
         av = ops.matvec(operator, v)
         estimate = max(estimate, float(np.linalg.norm(av)))
     return max(estimate, np.finfo(float).tiny)
-
-
-def default_sdc_monitor(
-    norm_estimate: float,
-    *,
-    check_period: int = 1,
-    orthogonality_period: int = 5,
-    residual_check_period: int = 10,
-    hessenberg_safety: float = 4.0,
-    orthogonality_tol: float = 1e-6,
-) -> SkepticalMonitor:
-    """The standard SkP check set for GMRES, as a configured monitor."""
-    monitor = SkepticalMonitor()
-    monitor.add_check(
-        "finite_basis",
-        lambda state: finite_check(
-            np.asarray(state["basis"][state["inner"] + 1]), name="finite_basis"
-        ),
-        period=check_period,
-    )
-    monitor.add_check(
-        "finite_hessenberg",
-        lambda state: finite_check(
-            state["hessenberg"][: state["inner"] + 2, state["inner"]],
-            name="finite_hessenberg",
-        ),
-        period=check_period,
-    )
-    monitor.add_check(
-        "hessenberg_bound",
-        lambda state: hessenberg_bound_check(
-            state["hessenberg"],
-            norm_estimate,
-            n_columns=state["inner"] + 1,
-            safety=hessenberg_safety,
-        ),
-        period=check_period,
-    )
-    monitor.add_check(
-        "residual_monotone",
-        lambda state: monotonicity_check(state["residual_history"]),
-        period=check_period,
-    )
-    monitor.add_check(
-        "orthogonality",
-        # The basis block is already an ndarray (vectors as columns);
-        # check the stored vectors in place, no column_stack copies.
-        lambda state: orthogonality_check(
-            state["basis"].matrix(),
-            tol=orthogonality_tol,
-        ),
-        period=orthogonality_period,
-    )
-    monitor.add_check(
-        "residual_consistency",
-        lambda state: residual_consistency_check(
-            state["residual_norm"], state["true_residual"]()
-        ),
-        period=residual_check_period,
-    )
-    return monitor
 
 
 def sdc_detecting_gmres(
@@ -177,8 +111,10 @@ def sdc_detecting_gmres(
         ``"abort"`` -- raise
         :class:`~repro.skeptical.policies.SkepticalAbort`.
     monitor:
-        Optionally supply a pre-configured monitor (its checks are used
-        instead of the defaults).
+        Optionally supply a pre-configured
+        :class:`~repro.skeptical.monitor.SkepticalMonitor` (its checks
+        are used instead of the defaults, which run as the stacked
+        :class:`~repro.skeptical.arnoldi_checks.ArnoldiChecks` kernel).
     fault_hook:
         Optional callable run *before* the checks each iteration with
         the :class:`~repro.krylov.gmres.GmresState`; fault-injection
@@ -213,7 +149,7 @@ def sdc_detecting_gmres(
     )
 
     if monitor is None:
-        monitor = default_sdc_monitor(
+        monitor = ArnoldiChecks(
             norm_estimate,
             check_period=check_period,
             orthogonality_period=orthogonality_period,

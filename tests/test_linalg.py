@@ -35,7 +35,7 @@ from repro.linalg import (
     verify_checksum,
 )
 from repro.reliability.bitflip import flip_bit_array
-from repro.linalg.blas import apply_givens
+from repro.linalg.blas import apply_givens, rotate_hessenberg_column
 from repro.simmpi import run_spmd
 
 
@@ -231,6 +231,49 @@ class TestBlasKernels:
             r, zero = apply_givens(c, s, a, b)
             assert abs(zero) < 1e-12 * max(abs(a), abs(b), 1.0)
             assert c * c + s * s == pytest.approx(1.0)
+
+    @staticmethod
+    def _reference_rotate(col, g, givens, j):
+        # The loop rotate_hessenberg_column used before it carried the
+        # rotated sub-entry in a local.
+        for i, (c, s) in enumerate(givens):
+            a, b = col[i], col[i + 1]
+            col[i] = c * a + s * b
+            col[i + 1] = c * b - s * a
+        c, s = givens_rotation(col[j], col[j + 1])
+        givens.append((c, s))
+        a, b = col[j], col[j + 1]
+        col[j] = c * a + s * b
+        col[j + 1] = c * b - s * a
+        a, b = g[j], g[j + 1]
+        g[j] = c * a + s * b
+        g[j + 1] = c * b - s * a
+        return abs(g[j + 1])
+
+    @pytest.mark.parametrize("specials", [False, True])
+    def test_rotate_hessenberg_column_matches_reference_loop(self, rng, specials):
+        pool = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0, 1e300, -1e-300])
+        m = 12
+
+        def bits(values):
+            return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+        for _trial in range(20):
+            g_new = [float(rng.standard_normal())] + [0.0] * m
+            g_ref = list(g_new)
+            giv_new, giv_ref = [], []
+            for j in range(m):
+                col = rng.standard_normal(j + 2)
+                if specials:
+                    hits = rng.random(j + 2) < 0.3
+                    col[hits] = rng.choice(pool, int(hits.sum()))
+                col_new, col_ref = col.tolist(), col.tolist()
+                res_new = rotate_hessenberg_column(col_new, g_new, giv_new, j)
+                res_ref = self._reference_rotate(col_ref, g_ref, giv_ref, j)
+                assert np.array_equal(bits(col_new), bits(col_ref))
+                assert np.array_equal(bits(g_new), bits(g_ref))
+                assert np.array_equal(bits(giv_new), bits(giv_ref))
+                assert bits([res_new]) == bits([res_ref])
 
     def test_back_substitution_matches_solve(self, rng):
         upper = np.triu(rng.standard_normal((6, 6))) + 3 * np.eye(6)

@@ -80,6 +80,62 @@ class TestChecks:
         assert monotonicity_check([1.0]).passed
         assert not monotonicity_check([1.0, float("nan")]).passed
 
+    @staticmethod
+    def _reference_hessenberg_measure(h, k):
+        # The mask/gather form hessenberg_bound_check used before its
+        # single abs().max() reduction.
+        window = h[: k + 1, :k]
+        finite = np.isfinite(window)
+        max_entry = float(np.max(np.abs(window[finite]))) if finite.any() else 0.0
+        if not finite.all():
+            max_entry = float("inf")
+        return max_entry
+
+    @pytest.mark.parametrize("corrupt", [
+        [], [(0, 0, np.nan)], [(1, 0, np.inf)], [(2, 1, -np.inf)],
+        [(0, 1, np.nan), (1, 1, np.inf)], [(0, 0, -0.0), (1, 0, 1e308)],
+        [(r, c, np.nan) for r in range(3) for c in range(2)],
+    ])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_hessenberg_bound_matches_mask_form(self, corrupt, k):
+        h = np.array([[1.0, -2.0], [0.5, 1.5], [0.0, -0.3]])
+        for r, c, value in corrupt:
+            h[r, c] = value
+        expected = self._reference_hessenberg_measure(h, k)
+        result = hessenberg_bound_check(h, operator_norm_estimate=3.0, n_columns=k)
+        assert result.measure == expected
+        assert result.passed == (np.isfinite(expected) and expected <= 6.0)
+
+    @staticmethod
+    def _reference_monotonicity(history, allowed_increase=1.5, window=3):
+        # The whole-history float conversion of the original check.
+        values = [float(v) for v in history]
+        if len(values) < 2:
+            return True, 0.0
+        recent = values[-(window + 1):]
+        if not all(np.isfinite(v) for v in recent):
+            return False, float("inf")
+        reference = min(recent[:-1])
+        if reference <= 0.0:
+            return True, 0.0
+        ratio = recent[-1] / reference
+        return ratio <= allowed_increase, ratio
+
+    @pytest.mark.parametrize("history", [
+        [], [2.0], [1.0, np.nan], [np.inf, 1.0], [1.0, 0.5, -np.inf, 0.4],
+        [np.nan, 1.0, 0.9, 0.8, 0.7], [1.0, 0.0, 0.5], [1e-300, 1e300],
+        [0.3, np.inf, 0.2, 0.1, 0.05], list(np.geomspace(1.0, 1e-8, 5000)),
+        list(np.geomspace(1.0, 1e-8, 5000)) + [1.0],
+        [np.nan] * 4000 + [1.0, 0.9, 0.8, 0.7],
+    ])
+    @pytest.mark.parametrize("window", [1, 3, 10])
+    def test_monotonicity_reads_only_the_window(self, history, window):
+        passed, measure = self._reference_monotonicity(history, window=window)
+        for seq in (history, np.asarray(history, dtype=np.float64), tuple(history)):
+            result = monotonicity_check(seq, window=window)
+            assert result.passed == passed
+            assert result.measure == measure or (np.isnan(measure) and np.isnan(result.measure))
+
     def test_spd_coefficient_check(self):
         assert spd_coefficient_check([0.1, 0.5]).passed
         assert not spd_coefficient_check([0.1, -0.2]).passed
