@@ -26,7 +26,8 @@ FAST=0
 [[ "${1:-}" == "--fast" ]] && FAST=1
 
 echo "== tier-1 test suite =="
-python -m pytest -x -q
+# --durations=10 names a test bound by a wall-clock watchdog in the log.
+python -m pytest -x -q --durations=10
 
 echo
 echo "== solver registry self-check =="

@@ -457,7 +457,14 @@ class ShmemComm(BaseCommunicator):
                     if dest not in failed:
                         self._post(dest, ("collfail", seq, sorted(failed)))
                 raise ProcFailure(failed, kind, detected_at=self._clock)
-            results = self._finish_collective(kind, contributions, op, root)
+            try:
+                results = self._finish_collective(kind, contributions, op, root)
+            except Exception as exc:  # noqa: BLE001 - re-raised on every rank
+                # Contributions that admit no result: every participant
+                # raises the same error rather than timing out.
+                for dest in range(1, self._size):
+                    self._post(dest, ("collerr", seq, exc))
+                raise
             for dest in range(1, self._size):
                 self._post(dest, ("collres", seq, self._encode_payload(results[dest])))
             result = results[0]
@@ -465,10 +472,12 @@ class ShmemComm(BaseCommunicator):
             self._post(0, ("coll", seq, self._encode_payload(_copy_payload(value))))
             message = self._next_from(
                 0,
-                lambda m: m[0] in ("collres", "collfail") and m[1] == seq,
+                lambda m: m[0] in ("collres", "collfail", "collerr") and m[1] == seq,
                 operation,
                 deadline,
             )
+            if message[0] == "collerr":
+                raise message[2]
             if message[0] == "collfail":
                 self._dead.update(message[2])
                 raise ProcFailure(message[2], kind, detected_at=self._clock)

@@ -26,6 +26,7 @@ from repro.linalg.matgen import poisson_2d
 from repro.reliability.events import FaultEvent, FaultRecord
 from repro.reliability.registry import resolve_faults
 from repro.reliability.sdc import SdcCampaign, classify_outcome
+from repro.skeptical.gmres_sdc import estimate_operator_norm
 from repro.utils.rng import RngFactory
 from repro.utils.tables import Table
 
@@ -48,19 +49,6 @@ _BIT_CLASSES = {
 }
 
 
-def _make_hook(fault_model, rng, inject_at):
-    """The per-trial injection hook plus its draw record.
-
-    The injection comes from the fault model's engine iteration hook
-    (see :meth:`repro.reliability.models.BasisBitflipFaults.iteration_hook`),
-    which replays the historical draw order exactly: bit position at
-    hook creation, victim index at fire time.
-    """
-    if fault_model.is_null:
-        return None, {"bit": None, "index": None}
-    return fault_model.iteration_hook(rng, at=inject_at)
-
-
 def _record_from_result(matrix, b, result, injected, detected, *, tol, skeptical):
     """Classify one finished (possibly faulty) solve into a FaultRecord."""
     x = np.asarray(result.x, dtype=np.float64)
@@ -81,30 +69,6 @@ def _record_from_result(matrix, b, result, injected, detected, *, tol, skeptical
             "relative_residual": error,
             "check_flops": result.info.get("check_flops", 0.0) if skeptical else 0.0,
         },
-    )
-
-
-def _solve_with_injection(
-    matrix, b, x_true, *, fault_model, inject_at, rng, skeptical: bool, tol: float,
-    check_period: int,
-):
-    """One faulty run; returns a FaultRecord."""
-    fault_hook, injected = _make_hook(fault_model, rng, inject_at)
-
-    solvers = default_solver_registry()
-    if skeptical:
-        result = solvers.get("sdc_gmres").solve(
-            matrix, b, policy="skeptical_restart", tol=tol, restart=30, maxiter=600,
-            check_period=check_period, fault_hook=fault_hook,
-        )
-        detected = result.detected_faults > 0
-    else:
-        result = solvers.get("gmres").solve(
-            matrix, b, tol=tol, restart=30, maxiter=600, iteration_hook=fault_hook
-        )
-        detected = False
-    return _record_from_result(
-        matrix, b, result, injected, detected, tol=tol, skeptical=skeptical
     )
 
 
@@ -134,51 +98,20 @@ def run(
         Period of the cheap skeptical checks (the ablation knob).
     faults:
         Injection model template (reliability-registry name, compact
-        spec string or dict); each bit class instantiates it with its
-        own ``bits`` range.  ``None`` keeps the legacy-equivalent
-        targeted basis bit flip (``"basis_bitflip"``); ``"none"`` runs
-        the whole campaign fault-free.
+        spec string or dict).  E1 consumes only its bit-level
+        component: any ``bitflip`` becomes the targeted basis flip,
+        which each bit class instantiates with its own ``bits`` range.
+        ``None`` keeps the legacy-equivalent ``"basis_bitflip"``.  Any
+        other model (``"none"``, ``perturb``, ``proc_fail``) runs the
+        campaign fault-free, in two solves whatever ``n_trials`` is.
     seed:
         Root seed.
     """
-    fault_template, faults_label = _resolve_template(faults)
-    matrix = poisson_2d(grid)
-    factory = RngFactory(seed)
-    rng_rhs = factory.spawn("rhs")
-    b = rng_rhs.standard_normal(matrix.n_rows)
-    x_true = None
-
-    baseline = default_solver_registry().get("gmres").solve(
-        matrix, b, tol=tol, restart=30, maxiter=600
-    )
-    solver_flops = 2.0 * matrix.nnz * max(baseline.iterations, 1)
-
-    table = _result_table()
-    summary = {}
-    for class_name, bit_range in _BIT_CLASSES.items():
-        class_model = (
-            fault_template
-            if fault_template.is_null
-            else fault_template.with_params(bits=bit_range)
-        )
-        for skeptical in (False, True):
-            rng = factory.spawn(f"{class_name}-{skeptical}")
-
-            def run_once(trial, _rng=rng, _model=class_model, _skeptical=skeptical):
-                return _solve_with_injection(
-                    matrix, b, x_true, fault_model=_model, inject_at=inject_at,
-                    rng=_rng, skeptical=_skeptical, tol=tol, check_period=check_period,
-                )
-
-            campaign = SdcCampaign(run_once, n_trials).run(
-                metadata={"bit_class": class_name, "skeptical": skeptical}
-            )
-            _add_cell(table, summary, campaign, class_name, skeptical, solver_flops)
-    return _finish_result(
-        table, summary, baseline.iterations,
-        grid=grid, n_trials=n_trials, inject_at=inject_at,
-        check_period=check_period, seed=seed, faults_label=faults_label,
-    )
+    scenario = {
+        "grid": grid, "n_trials": n_trials, "inject_at": inject_at, "tol": tol,
+        "check_period": check_period, "faults": faults, "seed": seed,
+    }
+    return _run_cohort([scenario], _solve_each)[0]
 
 
 def run_batch(params_list: List[Mapping]) -> List[ExperimentResult]:
@@ -191,72 +124,116 @@ def run_batch(params_list: List[Mapping]) -> List[ExperimentResult]:
     :func:`repro.krylov.registry.batch_solve` call, with per-scenario
     fault hooks drawing from per-scenario RNG streams in the exact
     sequential order (hook creation before the trial's solve, victim
-    draw at fire time inside it).
+    draw at fire time inside it).  A null fault model needs one call
+    per solver for the whole cohort.
     """
     resolved = [_bind_defaults(p) for p in params_list]
     if not resolved:
         return []
     if len(resolved) == 1 or not _compatible(resolved):
         return [run(**dict(p)) for p in params_list]
+    return _run_cohort(resolved, batch_solve)
 
-    shared = resolved[0]
-    grid = shared["grid"]
+
+def _solve_each(solver, operator, bs, *, lane_params=None, **params):
+    """:func:`batch_solve`'s signature, as one registry solve per lane."""
+    entry = default_solver_registry().get(solver)
+    lane_params = lane_params or [{}] * len(bs)
+    return [
+        entry.solve(operator, b, **dict(params, **lane))
+        for b, lane in zip(bs, lane_params)
+    ]
+
+
+def _run_cohort(scenarios: List[Mapping], solve) -> List[ExperimentResult]:
+    """Run scenarios that differ only in ``seed``, one lane each.
+
+    ``solve`` is :func:`batch_solve` (lockstep lanes) or
+    :func:`_solve_each` (sequential solves); both give every lane the
+    result of its own registry solve, so the two paths are bit-identical.
+    """
+    shared = scenarios[0]
     n_trials = shared["n_trials"]
-    inject_at = shared["inject_at"]
     tol = shared["tol"]
-    check_period = shared["check_period"]
-    faults = shared["faults"]
-    n_scenarios = len(resolved)
-
-    fault_template, faults_label = _resolve_template(faults)
-    matrix = poisson_2d(grid)
-    factories = [RngFactory(p["seed"]) for p in resolved]
+    fault_template, faults_label = _resolve_template(shared["faults"])
+    matrix = poisson_2d(shared["grid"])
+    factories = [RngFactory(p["seed"]) for p in scenarios]
     b_list = [f.spawn("rhs").standard_normal(matrix.n_rows) for f in factories]
+    lanes = range(len(scenarios))
 
-    baselines = batch_solve(
-        "gmres", matrix, b_list, tol=tol, restart=30, maxiter=600
-    )
+    gmres_params = {"tol": tol, "restart": 30, "maxiter": 600}
+    baselines = solve("gmres", matrix, b_list, **gmres_params)
     solver_flops = [2.0 * matrix.nnz * max(r.iterations, 1) for r in baselines]
+    # Setup runs in reliable mode (the SkP assumption): one trusted
+    # ||A|| per scenario, probed from the clean matrix, serves every
+    # skeptical trial (E1 corrupts the basis, never the operator).
+    norms = [estimate_operator_norm(matrix, b) for b in b_list]
 
-    tables = [_result_table() for _ in range(n_scenarios)]
-    summaries: List[dict] = [{} for _ in range(n_scenarios)]
-    for class_name, bit_range in _BIT_CLASSES.items():
-        class_model = (
-            fault_template
-            if fault_template.is_null
-            else fault_template.with_params(bits=bit_range)
+    def solve_trial(skeptical, hooks):
+        if skeptical:
+            return solve(
+                "sdc_gmres", matrix, b_list, policy="skeptical_restart",
+                check_period=shared["check_period"],
+                lane_params=[
+                    {"operator_norm": norm, "fault_hook": hook}
+                    for norm, hook in zip(norms, hooks)
+                ],
+                **gmres_params,
+            )
+        return solve(
+            "gmres", matrix, b_list,
+            lane_params=[{"iteration_hook": hook} for hook in hooks], **gmres_params,
         )
+
+    def classify(results, injected, skeptical):
+        return [
+            _record_from_result(
+                matrix, b_list[s], results[s], injected[s],
+                skeptical and results[s].detected_faults > 0,
+                tol=tol, skeptical=skeptical,
+            )
+            for s in lanes
+        ]
+
+    fault_free = None
+    if fault_template.is_null:
+        # A null model draws and injects nothing, so every trial of
+        # every cell is one deterministic solve: the plain cells are
+        # the baseline (a None iteration_hook is the same call) and the
+        # skeptical cells share a single sdc_gmres solve.
+        injected = [{"bit": None, "index": None}] * len(lanes)
+        fault_free = {
+            False: classify(baselines, injected, False),
+            True: classify(solve_trial(True, [None] * len(lanes)), injected, True),
+        }
+
+    tables = [_result_table() for _ in lanes]
+    summaries: List[dict] = [{} for _ in lanes]
+    for class_name, bit_range in _BIT_CLASSES.items():
         for skeptical in (False, True):
-            rngs = [f.spawn(f"{class_name}-{skeptical}") for f in factories]
-            records: List[List[FaultRecord]] = [[] for _ in range(n_scenarios)]
-            for _trial in range(n_trials):
-                hooks = []
-                injected = []
-                for rng in rngs:
-                    hook, inj = _make_hook(class_model, rng, inject_at)
-                    hooks.append(hook)
-                    injected.append(inj)
-                if skeptical:
-                    results = batch_solve(
-                        "sdc_gmres", matrix, b_list, policy="skeptical_restart",
-                        tol=tol, restart=30, maxiter=600, check_period=check_period,
-                        lane_params=[{"fault_hook": hook} for hook in hooks],
-                    )
-                    detected = [r.detected_faults > 0 for r in results]
-                else:
-                    results = batch_solve(
-                        "gmres", matrix, b_list, tol=tol, restart=30, maxiter=600,
-                        lane_params=[{"iteration_hook": hook} for hook in hooks],
-                    )
-                    detected = [False] * n_scenarios
-                for s in range(n_scenarios):
-                    records[s].append(
-                        _record_from_result(
-                            matrix, b_list[s], results[s], injected[s],
-                            detected[s], tol=tol, skeptical=skeptical,
+            if fault_free is not None:
+                records = [[record] * n_trials for record in fault_free[skeptical]]
+            else:
+                model = fault_template.with_params(bits=bit_range)
+                rngs = [f.spawn(f"{class_name}-{skeptical}") for f in factories]
+                records = [[] for _ in lanes]
+                for _trial in range(n_trials):
+                    # The injection hook replays the historical draw
+                    # order: bit position here, victim index at fire time.
+                    hooks, injected = zip(*(
+                        model.iteration_hook(rng, at=shared["inject_at"])
+                        for rng in rngs
+                    ))
+                    # Exponent flips overflow by design; the record
+                    # classifies those outcomes through its own
+                    # finiteness checks, so the warnings say nothing.
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        trial_records = classify(
+                            solve_trial(skeptical, hooks), injected, skeptical
                         )
-                    )
-            for s in range(n_scenarios):
+                    for s in lanes:
+                        records[s].append(trial_records[s])
+            for s in lanes:
                 campaign = SdcCampaign(
                     lambda trial, _records=records[s]: _records[trial], n_trials
                 ).run(metadata={"bit_class": class_name, "skeptical": skeptical})
@@ -267,11 +244,11 @@ def run_batch(params_list: List[Mapping]) -> List[ExperimentResult]:
     return [
         _finish_result(
             tables[s], summaries[s], baselines[s].iterations,
-            grid=grid, n_trials=n_trials, inject_at=inject_at,
-            check_period=check_period, seed=resolved[s]["seed"],
+            grid=shared["grid"], n_trials=n_trials, inject_at=shared["inject_at"],
+            check_period=shared["check_period"], seed=scenarios[s]["seed"],
             faults_label=faults_label,
         )
-        for s in range(n_scenarios)
+        for s in lanes
     ]
 
 

@@ -484,6 +484,9 @@ class Comm:
                     raise RankFailedError(
                         slot.failed_ranks, kind, detected_at=self.clock.now
                     )
+                if slot.error is not None:
+                    # A copy per rank, carrying the finishing rank's traceback.
+                    raise copy.copy(slot.error).with_traceback(slot.error.__traceback__)
                 completion = slot.completion_time
                 if root is None or self._rank == root or kind in ("bcast", "scatter"):
                     result = slot.result
@@ -512,37 +515,44 @@ class Comm:
     ) -> None:
         """If all expected live contributions are in, compute the result.
 
-        Caller must hold the lock.
+        Contributions that admit no result (too few scatter chunks,
+        operands a reduction cannot combine) finish the slot with that
+        error, so every participant raises it instead of waiting on a
+        rank that already gave up.  Caller must hold the lock.
         """
         missing = slot.missing()
         if missing:
             return
         participants = sorted(slot.contributions.keys())
+        try:
+            slot.result = self._collective_result(slot, kind, op, root, participants)
+        except Exception as exc:  # noqa: BLE001 - re-raised on every rank
+            slot.error = exc
+        arrival_max = max(slot.arrival_times.values())
+        cost = self._collective_cost(kind, len(participants), nbytes)
+        slot.completion_time = arrival_max + cost
+        slot.done = True
+
+    @staticmethod
+    def _collective_result(slot, kind, op, root, participants) -> Any:
         values = [slot.contributions[r] for r in participants]
         if kind in ("allreduce", "reduce"):
             reducer = op if op is not None else SUM
-            slot.result = reducer.reduce(values)
-        elif kind == "barrier":
-            slot.result = None
-        elif kind == "bcast":
-            slot.result = slot.contributions.get(root)
-        elif kind in ("gather", "allgather"):
-            slot.result = values
-        elif kind == "scatter":
+            return reducer.reduce(values)
+        if kind == "barrier":
+            return None
+        if kind == "bcast":
+            return slot.contributions.get(root)
+        if kind in ("gather", "allgather"):
+            return values
+        if kind == "scatter":
             chunks = slot.contributions.get(root)
             if chunks is None or len(chunks) < len(participants):
                 raise ValueError(
                     "scatter root must provide one chunk per participant"
                 )
-            slot.result = {
-                rank: chunks[i] for i, rank in enumerate(participants)
-            }
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown collective kind {kind!r}")
-        arrival_max = max(slot.arrival_times.values())
-        cost = self._collective_cost(kind, len(participants), nbytes)
-        slot.completion_time = arrival_max + cost
-        slot.done = True
+            return {rank: chunks[i] for i, rank in enumerate(participants)}
+        raise ValueError(f"unknown collective kind {kind!r}")  # pragma: no cover
 
     # -- blocking forms -------------------------------------------------
     def barrier(self) -> None:

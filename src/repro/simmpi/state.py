@@ -39,6 +39,9 @@ class CollectiveSlot:
     failed: bool = False
     failed_ranks: Set[int] = field(default_factory=set)
     result: Any = None
+    # Set when the contributions admit no result (e.g. too few scatter
+    # chunks); every participant raises a copy of it.
+    error: Optional[Exception] = None
     completion_time: float = 0.0
 
     def missing(self) -> Set[int]:

@@ -178,6 +178,29 @@ def _mismatch_program(comm):
         return "cascaded"
 
 
+def _short_scatter_program(comm, root):
+    # The root hands out one chunk too few: the argument error must
+    # reach every rank as the same exception, not as a peer's timeout.
+    chunks = list(range(comm.size - 1)) if comm.rank == root else None
+    try:
+        comm.scatter(chunks, root=root)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    except SimDeadlockError:
+        return "timeout"
+    return "scattered"
+
+
+def _mismatched_allreduce_program(comm):
+    try:
+        comm.allreduce(np.ones(2 + comm.rank))
+    except ValueError:
+        return "ValueError"
+    except SimDeadlockError:
+        return "timeout"
+    return "reduced"
+
+
 def _survivor_program(comm, victim):
     comm.advance(1.0)  # crosses the victim's scheduled failure time
     try:
@@ -289,6 +312,18 @@ class TestContract:
         assert "timeout" in values
         assert "received" not in values
         assert set(values) <= {"timeout", "cascaded"}
+
+    @pytest.mark.parametrize("procs,root", [(2, 0), (3, 0), (3, 2)])
+    def test_scatter_argument_error_reaches_every_rank(self, backend, procs, root):
+        # A timeout far above the suite's other waits: a wedged
+        # participant would surface as "timeout", not as a slow pass.
+        values = launch(backend, procs, _short_scatter_program, root, timeout=20.0)
+        message = "scatter root must provide one chunk per participant"
+        assert values == [("ValueError", message)] * procs
+
+    def test_reduction_operand_error_reaches_every_rank(self, backend):
+        values = launch(backend, 3, _mismatched_allreduce_program, timeout=20.0)
+        assert values == ["ValueError"] * 3
 
     def test_proc_fail_surfaces_as_procfailure_on_survivors(self, backend):
         victim = 1

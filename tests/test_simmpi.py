@@ -171,7 +171,7 @@ class TestCollectives:
                 return type(exc).__name__
 
         results = run_spmd(2, program)
-        assert "ValueError" in results
+        assert results == ["ValueError", "ValueError"]
 
 
 class TestPointToPoint:
