@@ -248,13 +248,13 @@ grep -q "registered analysis rules" <<<"$analysis_listing" || {
     exit 1
 }
 for rule in determinism spec-strings driver-contract dtype-flow \
-            process-safety doc-links deprecated-import; do
+            process-safety doc-links; do
     grep -qE "^$rule " <<<"$analysis_listing" || {
         echo "ERROR: analysis rule '$rule' missing from the registry listing" >&2
         exit 1
     }
 done
-echo "analysis registry OK (7 rules registered)"
+echo "analysis registry OK (6 rules registered)"
 
 echo
 echo "== static-analysis gate =="
@@ -291,8 +291,11 @@ if [[ "$FAST" == "1" ]]; then
 else
     # The goldens already ran once inside the tier-1 suite; a second
     # invocation in a fresh interpreter proves they pass
-    # deterministically twice in a row.
-    python -m pytest tests/test_goldens.py -q
+    # deterministically twice in a row, with the batch-parity suite
+    # alongside.  Drivers classify the overflow their injected faults
+    # cause themselves, so a RuntimeWarning from either is an error.
+    python -m pytest -W error::RuntimeWarning tests/test_goldens.py \
+        tests/test_batch_parity.py -q
 fi
 
 echo

@@ -21,8 +21,7 @@ Subpackage overview
     The unified reliability layer: declarative fault specs and the
     named fault-model registry over bit flips, fault schedules,
     injectors, process-failure models, SRP domains, TMR and the
-    reliability cost model.  (``repro.faults`` and ``repro.srp``
-    remain as deprecated shims.)
+    reliability cost model.
 ``repro.machine``
     Machine model, performance-variability models, collective cost and
     application-efficiency formulas.

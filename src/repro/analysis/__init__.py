@@ -11,8 +11,8 @@ repro.analysis`` CLI, per-rule in-source suppression
 anything deliberately grandfathered.
 
 Rules: ``determinism``, ``spec-strings``, ``driver-contract``,
-``dtype-flow``, ``process-safety``, ``doc-links``,
-``deprecated-import`` -- see ARCHITECTURE.md ("analysis layer").
+``dtype-flow``, ``process-safety``, ``doc-links`` -- see
+ARCHITECTURE.md ("analysis layer").
 
 Programmatic entry points::
 

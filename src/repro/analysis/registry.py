@@ -19,7 +19,6 @@ __all__ = ["RuleRegistry", "default_rule_registry", "rule_names", "resolve_rules
 def _rule_classes() -> Sequence[Type[Rule]]:
     # Imported lazily so `import repro.analysis` stays cheap and rule
     # modules may import heavier subsystems (registries, executor).
-    from repro.analysis.rules.deprecated import DeprecatedImportRule
     from repro.analysis.rules.determinism import DeterminismRule
     from repro.analysis.rules.docs import DocLinksRule
     from repro.analysis.rules.drivers import DriverContractRule
@@ -34,7 +33,6 @@ def _rule_classes() -> Sequence[Type[Rule]]:
         DtypeFlowRule,
         ProcessSafetyRule,
         DocLinksRule,
-        DeprecatedImportRule,
     )
 
 

@@ -5,7 +5,6 @@ into the default ruleset.  See ARCHITECTURE.md ("analysis layer") for
 the rule table and how to add one.
 """
 
-from repro.analysis.rules.deprecated import DeprecatedImportRule
 from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.docs import DocLinksRule
 from repro.analysis.rules.drivers import DriverContractRule
@@ -20,5 +19,4 @@ __all__ = [
     "DtypeFlowRule",
     "ProcessSafetyRule",
     "DocLinksRule",
-    "DeprecatedImportRule",
 ]

@@ -1,6 +1,6 @@
 """Shared experiment infrastructure.
 
-Two pieces live here:
+What lives here:
 
 * :class:`ExperimentResult` -- the value every driver's ``run()``
   returns, now JSON round-trippable (:meth:`ExperimentResult.to_dict` /
@@ -13,17 +13,38 @@ Two pieces live here:
   by the golden regression tests.  :mod:`repro.campaign.registry`
   auto-discovers drivers by scanning this package for modules that
   define both ``SPEC`` and ``run(**params) -> ExperimentResult``.
+* :func:`run_cohorts` -- the ``run_batch`` contract of the cohort
+  drivers (E1, E8, E9, E10): each keeps one function that runs ``S >= 1``
+  scenarios differing only in ``seed``; ``run`` is that function at
+  ``S = 1`` and ``run_batch`` is :func:`run_cohorts` over it.
+* :class:`TrustedScore` / :func:`trusted_scores` -- the trusted-error
+  scoring of one scenario's solver rows against a direct solution
+  (E8, E9, E10).
+* :func:`unreliable_domains` -- one seeded unreliable domain per lane
+  (E9, E10).
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Tuple
 
+import numpy as np
+
+from repro.reliability.domain import ReliabilityDomain
+from repro.reliability.sdc import classify_outcome
 from repro.utils.serialization import jsonify
 from repro.utils.tables import Table, one_line
 
-__all__ = ["ExperimentResult", "ExperimentSpec"]
+__all__ = [
+    "ExperimentResult",
+    "ExperimentSpec",
+    "TrustedScore",
+    "run_cohorts",
+    "trusted_scores",
+    "unreliable_domains",
+]
 
 # Parameter/summary lines longer than this are wrapped one-per-line.
 _WRAP_WIDTH = 88
@@ -140,3 +161,94 @@ class ExperimentSpec:
     tags: Tuple[str, ...] = ()
     smoke: Mapping[str, Any] = field(default_factory=dict)
     golden: Mapping[str, Any] = field(default_factory=dict)
+
+
+def run_cohorts(
+    run: Callable[..., ExperimentResult],
+    cohort: Callable[[List[dict]], List[ExperimentResult]],
+    params_list: List[Mapping],
+) -> List[ExperimentResult]:
+    """Run scenarios through a driver's cohort function.
+
+    Every scenario is bound to ``run``'s keyword defaults.  Scenarios
+    that agree on every parameter except ``seed`` go to ``cohort`` as
+    one call; any other set runs one scenario at a time.  An empty list
+    returns ``[]``.
+    """
+    signature = inspect.signature(run)
+    scenarios = []
+    for params in params_list:
+        bound = signature.bind(**dict(params))
+        bound.apply_defaults()
+        scenarios.append(dict(bound.arguments))
+    if not scenarios:
+        return []
+    unseeded = [{k: v for k, v in p.items() if k != "seed"} for p in scenarios]
+    if all(p == unseeded[0] for p in unseeded):
+        return cohort(scenarios)
+    return [cohort([p])[0] for p in scenarios]
+
+
+def unreliable_domains(fault_model, seeds, name: str) -> List[ReliabilityDomain]:
+    """One unreliable domain per lane, seeded as ``unreliable()`` seeds it.
+
+    :func:`repro.reliability.unreliable` only yields such a domain, so a
+    cohort can hold ``S`` of them without entering ``S`` contexts.
+    """
+    return [
+        ReliabilityDomain(
+            name, level="unreliable", injector=fault_model.injector(seed=seed, name=name)
+        )
+        for seed in seeds
+    ]
+
+
+class TrustedScore:
+    """Trusted-error scoring of one scenario's solver rows.
+
+    Each row's answer is compared with a direct solution of the clean
+    system and classified by
+    :func:`repro.reliability.sdc.classify_outcome`; the counters the
+    driver summaries report accumulate here.
+    """
+
+    def __init__(self, x_ref: np.ndarray, error_tolerance: float):
+        self.x_ref = x_ref
+        self.x_ref_norm = float(np.linalg.norm(x_ref))
+        self.error_tolerance = error_tolerance
+        self.n_runs = 0
+        self.n_correct = 0
+        self.n_detected = 0
+        self.n_silent = 0
+        self.total_faults = 0
+
+    def score(self, result, faults_hit: int) -> Tuple[str, str, bool]:
+        """Fold one solve in; returns ``(error_text, outcome, correct)``."""
+        x = np.asarray(result.x, dtype=np.float64)
+        finite = bool(np.all(np.isfinite(x)))
+        # A finite answer can still overflow its error norm; the
+        # resulting inf is the classification, not a warning.
+        with np.errstate(over="ignore"):
+            error = (
+                float(np.linalg.norm(x - self.x_ref)) / self.x_ref_norm
+                if finite else float("inf")
+            )
+        outcome = classify_outcome(
+            converged=result.converged,
+            error_norm=error,
+            tolerance=self.error_tolerance,
+            detected=result.detected_faults > 0,
+        )
+        correct = result.converged and error <= self.error_tolerance
+        self.n_runs += 1
+        self.n_correct += int(correct)
+        self.n_detected += int(result.detected_faults > 0)
+        self.n_silent += int(outcome == "sdc")
+        self.total_faults += faults_hit
+        return (f"{error:.3e}" if finite else "inf"), outcome, correct
+
+
+def trusted_scores(matrix, b_list, error_tolerance: float) -> List[TrustedScore]:
+    """One :class:`TrustedScore` per right-hand side of ``matrix``."""
+    dense = matrix.to_dense()
+    return [TrustedScore(np.linalg.solve(dense, b), error_tolerance) for b in b_list]

@@ -40,20 +40,22 @@ axes stack on the same inner/outer boundary.
 
 from __future__ import annotations
 
-import contextlib
-import inspect
 from typing import List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.experiments.common import ExperimentResult, ExperimentSpec
+from repro.experiments.common import (
+    ExperimentResult,
+    ExperimentSpec,
+    run_cohorts,
+    trusted_scores,
+    unreliable_domains,
+)
 from repro.krylov.registry import batch_solve, default_solver_registry
 from repro.linalg.matgen import poisson_2d
 from repro.precond import parse_precond, resolve_preconds
-from repro.reliability import lowprecision, unreliable
 from repro.reliability.precision import PrecisionDomain, parse_precision
 from repro.reliability.registry import resolve_faults
-from repro.reliability.sdc import classify_outcome
 from repro.reliability.seeding import derive_fault_seed
 from repro.utils.rng import RngFactory
 from repro.utils.tables import Table
@@ -121,7 +123,7 @@ def _precond_axis(preconds) -> List[str]:
     return list(preconds)
 
 
-def _fgmres_inner_solve(matrix, built, pspec, registry, *, precision_used):
+def _fgmres_inner_solve(matrix, built, precision_label, registry):
     """The selective-precision FGMRES inner stage: a whole GMRES solve
     at the swept precision (preconditioned by the cell's ``built``)."""
     inner_entry = registry.get("gmres")
@@ -129,7 +131,7 @@ def _fgmres_inner_solve(matrix, built, pspec, registry, *, precision_used):
     def inner_solve(v):
         result = inner_entry.solve(
             matrix, v, tol=_INNER_TOL, maxiter=_INNER_MAXITER,
-            precond=built, precision=precision_used,
+            precond=built, precision=precision_label,
         )
         return result.x
 
@@ -183,123 +185,17 @@ def run(
     seed:
         Root seed: right-hand side and per-cell fault streams.
     """
-    check_in(target, ("inner", "outer"), "target")
-    registry = default_solver_registry()
-    solver_list = _solver_axis(solvers)
-    precision_list = _precision_axis(precisions)
-    precond_list = _precond_axis(preconds)
+    return _run_cohort([dict(locals())])[0]
 
-    fault_model = resolve_faults(faults)
-    soft_model = fault_model.soft_component()
 
-    matrix = poisson_2d(grid)
-    factory = RngFactory(seed)
-    b = factory.spawn("rhs").standard_normal(matrix.n_rows)
-    x_ref = np.linalg.solve(matrix.to_dense(), b)
-    x_ref_norm = float(np.linalg.norm(x_ref))
+def run_batch(params_list: List[Mapping]) -> List[ExperimentResult]:
+    """Run several E10 scenarios in lockstep; results identical to :func:`run`.
 
-    table = Table(
-        ["solver", "precond", "precision", "iterations", "converged",
-         "faults", "error", "outcome"],
-        title=f"E10: solver x precision x preconditioner x fault matrix "
-              f"(precision on the {target} stage)",
-    )
-
-    n_runs = 0
-    n_correct = 0
-    n_silent = 0
-    total_faults = 0
-    low_correct = 0
-    low_runs = 0
-    for solver_name in solver_list:
-        solver = registry.get(solver_name)
-        for precond_name in precond_list:
-            precond_label = parse_precond(precond_name).to_string()
-            for precision_label in precision_list:
-                pspec = parse_precision(precision_label)
-                # Setup runs reliably and in full precision: the
-                # preconditioner is always built from the clean fp64
-                # matrix (outer-target solves rebuild it from the cast
-                # operator inside solve(), via the spec string).
-                built = resolve_preconds(precond_name, matrix=matrix)
-                fault_seed = derive_fault_seed(
-                    seed, f"{solver.name}/{precond_label}/{precision_label}"
-                )
-                params = {"tol": tol, "maxiter": maxiter}
-
-                result, faults_hit = _solve_cell(
-                    solver, matrix, b, built, pspec,
-                    soft_model=soft_model, fault_seed=fault_seed,
-                    target=target, registry=registry, params=params,
-                    precond_name=precond_name,
-                )
-
-                x = np.asarray(result.x, dtype=np.float64)
-                finite = bool(np.all(np.isfinite(x)))
-                error = (
-                    float(np.linalg.norm(x - x_ref)) / x_ref_norm
-                    if finite else float("inf")
-                )
-                outcome = classify_outcome(
-                    converged=result.converged,
-                    error_norm=error,
-                    tolerance=error_tolerance,
-                    detected=result.detected_faults > 0,
-                )
-                table.add_row(
-                    solver.name,
-                    precond_label,
-                    precision_label,
-                    result.iterations,
-                    result.converged,
-                    faults_hit,
-                    f"{error:.3e}" if finite else "inf",
-                    outcome,
-                )
-                n_runs += 1
-                total_faults += faults_hit
-                n_silent += int(outcome == "sdc")
-                correct = result.converged and error <= error_tolerance
-                n_correct += int(correct)
-                if not pspec.is_default:
-                    low_runs += 1
-                    low_correct += int(correct)
-
-    summary = {
-        "n_runs": n_runs,
-        "n_solvers": len(solver_list),
-        "n_precisions": len(precision_list),
-        "n_preconds": len(precond_list),
-        "n_correct": n_correct,
-        "n_silent_corruptions": n_silent,
-        "total_faults_injected": total_faults,
-        # The pinned claim, as counters: under target="inner" every
-        # reduced-precision row should be correct; under
-        # target="outer" they fail a double-precision tolerance.
-        "n_lowprecision_runs": low_runs,
-        "n_lowprecision_correct": low_correct,
-        "target": target,
-        "faults": fault_model.describe(),
-    }
-    parameters = {
-        "grid": grid,
-        "solvers": tuple(solver_list),
-        "precisions": tuple(precision_list),
-        "preconds": tuple(precond_list),
-        "faults": fault_model.describe(),
-        "target": target,
-        "tol": tol,
-        "maxiter": maxiter,
-        "error_tolerance": error_tolerance,
-        "seed": seed,
-    }
-    return ExperimentResult(
-        experiment="E10",
-        claim=_CLAIM,
-        table=table,
-        summary=summary,
-        parameters=parameters,
-    )
+    Scenarios that agree on every parameter except ``seed`` share one
+    cohort; any other set runs one scenario at a time
+    (:func:`~repro.experiments.common.run_cohorts`).
+    """
+    return run_cohorts(run, _run_cohort, params_list)
 
 
 _CLAIM = (
@@ -310,104 +206,21 @@ _CLAIM = (
 )
 
 
-def _solve_cell(
-    solver, matrix, b, built, pspec, *,
-    soft_model, fault_seed, target, registry, params, precond_name,
-):
-    """One (solver, precond, precision) cell; returns (result, faults)."""
-    precision_label = pspec.to_string()
-    faults_hit = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        if target == "outer":
-            # Whole solve at the swept precision.  Spec-shaped
-            # preconditioners go through by name so solve() builds them
-            # from the *cast* operator -- M^{-1} v then runs at the
-            # swept precision natively, like every other kernel.
-            if soft_model is not None and built is not None:
-                with unreliable(soft_model, seed=fault_seed,
-                                name=f"precision/{solver.name}") as domain:
-                    wrapped = domain.preconditioner(
-                        built, flops_per_call=float(matrix.nnz)
-                    )
-                    result = solver.solve(
-                        matrix, b, precond=wrapped,
-                        precision=precision_label, **params,
-                    )
-                faults_hit = domain.faults_injected()
-            else:
-                result = solver.solve(
-                    matrix, b, precond=precond_name,
-                    precision=precision_label, **params,
-                )
-        elif solver.name == "fgmres":
-            # The flagship selective-precision configuration: a real
-            # inner GMRES at the swept precision, fp64 outer.  The
-            # lowprecision() wrap pins the stage's input and output to
-            # the compute dtype (the bounded-error contract); faults
-            # land outside it, on the widened float64 result, exactly
-            # where E9 lands them on M^{-1} v.
-            inner = _fgmres_inner_solve(
-                matrix, built, pspec, registry,
-                precision_used=precision_label,
-            )
-            with lowprecision(pspec) as pdom:
-                low_inner = pdom.inner_solve(inner)
-                if soft_model is not None:
-                    with unreliable(soft_model, seed=fault_seed,
-                                    name=f"precision/{solver.name}") as domain:
-                        wrapped = domain.preconditioner(
-                            low_inner, flops_per_call=float(matrix.nnz)
-                        )
-                        result = solver.solve(matrix, b, precond=wrapped, **params)
-                    faults_hit = domain.faults_injected()
-                else:
-                    result = solver.solve(matrix, b, precond=low_inner, **params)
-        else:
-            # Fixed-preconditioner solvers: M^{-1} v at the swept
-            # precision (identity rounding when there is none).
-            with lowprecision(pspec) as pdom:
-                low = pdom.preconditioner(built)
-                if soft_model is not None and built is not None:
-                    with unreliable(soft_model, seed=fault_seed,
-                                    name=f"precision/{solver.name}") as domain:
-                        wrapped = domain.preconditioner(
-                            low, flops_per_call=float(matrix.nnz)
-                        )
-                        result = solver.solve(matrix, b, precond=wrapped, **params)
-                    faults_hit = domain.faults_injected()
-                else:
-                    result = solver.solve(matrix, b, precond=low, **params)
-    return result, faults_hit
+def _run_cohort(scenarios: List[Mapping]) -> List[ExperimentResult]:
+    """Run scenarios that differ only in ``seed``, one lane each.
 
-
-def run_batch(params_list: List[Mapping]) -> List[ExperimentResult]:
-    """Run several E10 scenarios in lockstep; results identical to :func:`run`.
-
-    The scenarios (typically one per seed) must agree on every
-    parameter except ``seed``; incompatible sets fall back to
-    sequential :func:`run` calls.  Cells whose configuration has a
-    lockstep path (the default-precision rows of ``gmres``/``cg``)
-    advance together through one
-    :func:`repro.krylov.registry.batch_solve` call per cell;
-    reduced-precision and fgmres cells run their lanes sequentially
-    inside that same call (the batch engine is pinned to the bit-exact
-    float64 contract), so every lane is built and seeded exactly as
-    :func:`run` builds it.
+    Each (solver, precond, precision) cell solves every lane in one
+    :func:`repro.krylov.registry.batch_solve` call, each lane with its
+    own preconditioner stage (built from the clean fp64 matrix, wrapped
+    at the swept precision and, under a soft fault, in its own
+    unreliable domain).  Cells without a lockstep path (reduced
+    precision, fgmres) run lane by lane inside that call.
     """
-    resolved = [_bind_defaults(p) for p in params_list]
-    if not resolved:
-        return []
-    if len(resolved) == 1 or not _compatible(resolved):
-        return [run(**dict(p)) for p in params_list]
-
-    shared = resolved[0]
-    grid = shared["grid"]
+    shared = scenarios[0]
     target = shared["target"]
     tol = shared["tol"]
     maxiter = shared["maxiter"]
-    error_tolerance = shared["error_tolerance"]
-    seeds = [p["seed"] for p in resolved]
-    n_scenarios = len(resolved)
+    seeds = [p["seed"] for p in scenarios]
 
     check_in(target, ("inner", "outer"), "target")
     registry = default_solver_registry()
@@ -418,13 +231,11 @@ def run_batch(params_list: List[Mapping]) -> List[ExperimentResult]:
     fault_model = resolve_faults(shared["faults"])
     soft_model = fault_model.soft_component()
 
-    matrix = poisson_2d(grid)
-    dense = matrix.to_dense()
-    b_list = [
-        RngFactory(s).spawn("rhs").standard_normal(matrix.n_rows) for s in seeds
-    ]
-    x_refs = [np.linalg.solve(dense, b) for b in b_list]
-    x_ref_norms = [float(np.linalg.norm(x)) for x in x_refs]
+    matrix = poisson_2d(shared["grid"])
+    b_list = [RngFactory(s).spawn("rhs").standard_normal(matrix.n_rows) for s in seeds]
+    scores = trusted_scores(matrix, b_list, shared["error_tolerance"])
+    low_runs = 0
+    low_correct = [0] * len(scenarios)
 
     tables = [
         Table(
@@ -433,86 +244,110 @@ def run_batch(params_list: List[Mapping]) -> List[ExperimentResult]:
             title=f"E10: solver x precision x preconditioner x fault matrix "
                   f"(precision on the {target} stage)",
         )
-        for _ in range(n_scenarios)
+        for _ in scenarios
     ]
-    counters = [
-        {"n_runs": 0, "n_correct": 0, "n_silent": 0, "total_faults": 0,
-         "low_runs": 0, "low_correct": 0}
-        for _ in range(n_scenarios)
-    ]
-
     for solver_name in solver_list:
         solver = registry.get(solver_name)
         for precond_name in precond_list:
             precond_label = parse_precond(precond_name).to_string()
             for precision_label in precision_list:
                 pspec = parse_precision(precision_label)
+                # Setup runs reliably and in full precision: the
+                # preconditioner is always built from the clean fp64
+                # matrix, once per lane (stateful preconditioners and
+                # the wrapping proxies must not be shared).
+                builts = [resolve_preconds(precond_name, matrix=matrix) for _ in seeds]
                 fault_seeds = [
                     derive_fault_seed(
                         s, f"{solver.name}/{precond_label}/{precision_label}"
                     )
                     for s in seeds
                 ]
-                params = {"tol": tol, "maxiter": maxiter}
-
-                results, faults_hits = _solve_cell_lanes(
-                    solver, matrix, b_list, precond_name, pspec,
-                    soft_model=soft_model, fault_seeds=fault_seeds,
-                    target=target, registry=registry, params=params,
-                )
-
-                for s in range(n_scenarios):
-                    result = results[s]
-                    x = np.asarray(result.x, dtype=np.float64)
-                    finite = bool(np.all(np.isfinite(x)))
-                    error = (
-                        float(np.linalg.norm(x - x_refs[s])) / x_ref_norms[s]
-                        if finite else float("inf")
+                has_precond = builts[0] is not None
+                if target == "outer":
+                    # Whole solve at the swept precision.  Spec-shaped
+                    # preconditioners go through by name so solve()
+                    # builds them from the *cast* operator -- M^{-1} v
+                    # then runs at the swept precision natively.  A
+                    # faulted stage wraps the fp64-built object instead.
+                    faulted = soft_model is not None and has_precond
+                    stages = builts if faulted else [precond_name] * len(seeds)
+                elif solver.name == "fgmres":
+                    # The flagship selective-precision configuration: a
+                    # real inner GMRES at the swept precision, fp64
+                    # outer.  The precision domain pins the stage's
+                    # input and output to the compute dtype (the
+                    # bounded-error contract); faults land outside it,
+                    # on the widened float64 result, exactly where E9
+                    # lands them on M^{-1} v.
+                    faulted = soft_model is not None
+                    stages = [
+                        PrecisionDomain(pspec).inner_solve(
+                            _fgmres_inner_solve(matrix, built, precision_label, registry)
+                        )
+                        for built in builts
+                    ]
+                else:
+                    # Fixed-preconditioner solvers: M^{-1} v at the swept
+                    # precision (identity rounding when there is none).
+                    faulted = soft_model is not None and has_precond
+                    stages = [
+                        PrecisionDomain(pspec).preconditioner(built) for built in builts
+                    ]
+                domains = []
+                if faulted:
+                    domains = unreliable_domains(
+                        soft_model, fault_seeds, f"precision/{solver.name}"
                     )
-                    outcome = classify_outcome(
-                        converged=result.converged,
-                        error_norm=error,
-                        tolerance=error_tolerance,
-                        detected=result.detected_faults > 0,
+                    stages = [
+                        domain.preconditioner(stage, flops_per_call=float(matrix.nnz))
+                        for domain, stage in zip(domains, stages)
+                    ]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    results = batch_solve(
+                        solver.name, matrix, b_list,
+                        precision=precision_label if target == "outer" else None,
+                        lane_params=[{"precond": stage} for stage in stages],
+                        registry=registry, tol=tol, maxiter=maxiter,
                     )
-                    tables[s].add_row(
+                faults_hits = [d.faults_injected() for d in domains] or [0] * len(seeds)
+
+                low_runs += int(not pspec.is_default)
+                for s, (table, score, result) in enumerate(zip(tables, scores, results)):
+                    error_text, outcome, correct = score.score(result, faults_hits[s])
+                    table.add_row(
                         solver.name,
                         precond_label,
                         precision_label,
                         result.iterations,
                         result.converged,
                         faults_hits[s],
-                        f"{error:.3e}" if finite else "inf",
+                        error_text,
                         outcome,
                     )
-                    cell = counters[s]
-                    cell["n_runs"] += 1
-                    cell["total_faults"] += faults_hits[s]
-                    cell["n_silent"] += int(outcome == "sdc")
-                    correct = result.converged and error <= error_tolerance
-                    cell["n_correct"] += int(correct)
                     if not pspec.is_default:
-                        cell["low_runs"] += 1
-                        cell["low_correct"] += int(correct)
+                        low_correct[s] += int(correct)
 
     out = []
-    for s in range(n_scenarios):
-        cell = counters[s]
+    for scenario, table, score, n_low_correct in zip(scenarios, tables, scores, low_correct):
         summary = {
-            "n_runs": cell["n_runs"],
+            "n_runs": score.n_runs,
             "n_solvers": len(solver_list),
             "n_precisions": len(precision_list),
             "n_preconds": len(precond_list),
-            "n_correct": cell["n_correct"],
-            "n_silent_corruptions": cell["n_silent"],
-            "total_faults_injected": cell["total_faults"],
-            "n_lowprecision_runs": cell["low_runs"],
-            "n_lowprecision_correct": cell["low_correct"],
+            "n_correct": score.n_correct,
+            "n_silent_corruptions": score.n_silent,
+            "total_faults_injected": score.total_faults,
+            # The pinned claim, as counters: under target="inner" every
+            # reduced-precision row should be correct; under
+            # target="outer" they fail a double-precision tolerance.
+            "n_lowprecision_runs": low_runs,
+            "n_lowprecision_correct": n_low_correct,
             "target": target,
             "faults": fault_model.describe(),
         }
         parameters = {
-            "grid": grid,
+            "grid": shared["grid"],
             "solvers": tuple(solver_list),
             "precisions": tuple(precision_list),
             "preconds": tuple(precond_list),
@@ -520,134 +355,11 @@ def run_batch(params_list: List[Mapping]) -> List[ExperimentResult]:
             "target": target,
             "tol": tol,
             "maxiter": maxiter,
-            "error_tolerance": error_tolerance,
-            "seed": seeds[s],
+            "error_tolerance": shared["error_tolerance"],
+            "seed": scenario["seed"],
         }
-        out.append(
-            ExperimentResult(
-                experiment="E10",
-                claim=_CLAIM,
-                table=tables[s],
-                summary=summary,
-                parameters=parameters,
-            )
-        )
+        out.append(ExperimentResult(
+            experiment="E10", claim=_CLAIM, table=table, summary=summary,
+            parameters=parameters,
+        ))
     return out
-
-
-def _solve_cell_lanes(
-    solver, matrix, b_list, precond_name, pspec, *,
-    soft_model, fault_seeds, target, registry, params,
-):
-    """One (solver, precond, precision) cell for all lanes.
-
-    Cells route through :func:`batch_solve` whenever the whole lane
-    configuration is expressible as its declarative surface (the fixed-
-    preconditioner placements); the fgmres inner-solve configuration is
-    built per lane and solved sequentially, exactly as :func:`run`
-    builds it.
-    """
-    n_scenarios = len(b_list)
-    # Built per lane: stateful preconditioners (and the wrapping
-    # proxies) must not be shared across lanes.
-    builts = [
-        resolve_preconds(precond_name, matrix=matrix)
-        for _ in range(n_scenarios)
-    ]
-    if target != "outer" and solver.name == "fgmres":
-        results = []
-        faults_hits = []
-        for s in range(n_scenarios):
-            result, hit = _solve_cell(
-                solver, matrix, b_list[s], builts[s], pspec,
-                soft_model=soft_model, fault_seed=fault_seeds[s],
-                target=target, registry=registry, params=params,
-                precond_name=precond_name,
-            )
-            results.append(result)
-            faults_hits.append(hit)
-        return results, faults_hits
-
-    precision_label = pspec.to_string()
-    with np.errstate(over="ignore", invalid="ignore"):
-        if target == "outer":
-            if soft_model is not None and builts[0] is not None:
-                with contextlib.ExitStack() as stack:
-                    domains = [
-                        stack.enter_context(
-                            unreliable(soft_model, seed=fault_seeds[s],
-                                       name=f"precision/{solver.name}")
-                        )
-                        for s in range(n_scenarios)
-                    ]
-                    wrapped = [
-                        domains[s].preconditioner(
-                            builts[s], flops_per_call=float(matrix.nnz)
-                        )
-                        for s in range(n_scenarios)
-                    ]
-                    results = batch_solve(
-                        solver.name, matrix, b_list,
-                        precision=precision_label,
-                        lane_params=[{"precond": w} for w in wrapped],
-                        registry=registry, **params,
-                    )
-                faults_hits = [d.faults_injected() for d in domains]
-            else:
-                results = batch_solve(
-                    solver.name, matrix, b_list,
-                    precision=precision_label,
-                    lane_params=[{"precond": precond_name}] * n_scenarios,
-                    registry=registry, **params,
-                )
-                faults_hits = [0] * n_scenarios
-        else:
-            lows = [
-                PrecisionDomain(pspec).preconditioner(builts[s])
-                for s in range(n_scenarios)
-            ]
-            if soft_model is not None and builts[0] is not None:
-                with contextlib.ExitStack() as stack:
-                    domains = [
-                        stack.enter_context(
-                            unreliable(soft_model, seed=fault_seeds[s],
-                                       name=f"precision/{solver.name}")
-                        )
-                        for s in range(n_scenarios)
-                    ]
-                    wrapped = [
-                        domains[s].preconditioner(
-                            lows[s], flops_per_call=float(matrix.nnz)
-                        )
-                        for s in range(n_scenarios)
-                    ]
-                    results = batch_solve(
-                        solver.name, matrix, b_list,
-                        lane_params=[{"precond": w} for w in wrapped],
-                        registry=registry, **params,
-                    )
-                faults_hits = [d.faults_injected() for d in domains]
-            else:
-                results = batch_solve(
-                    solver.name, matrix, b_list,
-                    lane_params=[{"precond": low} for low in lows],
-                    registry=registry, **params,
-                )
-                faults_hits = [0] * n_scenarios
-    return results, faults_hits
-
-
-def _bind_defaults(params: Mapping) -> dict:
-    """Apply :func:`run`'s keyword defaults to one scenario's parameters."""
-    bound = inspect.signature(run).bind(**dict(params))
-    bound.apply_defaults()
-    return dict(bound.arguments)
-
-
-def _compatible(resolved: List[dict]) -> bool:
-    """Whether the scenarios agree on everything except the seed."""
-    reference = {k: v for k, v in resolved[0].items() if k != "seed"}
-    return all(
-        {k: v for k, v in p.items() if k != "seed"} == reference
-        for p in resolved[1:]
-    )

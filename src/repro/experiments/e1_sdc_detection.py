@@ -15,13 +15,12 @@ same faults (how many silently wrong answers it returns).
 
 from __future__ import annotations
 
-import inspect
-from typing import List, Mapping, Optional
+from typing import List, Mapping
 
 import numpy as np
 
-from repro.experiments.common import ExperimentResult, ExperimentSpec
-from repro.krylov.registry import batch_solve, default_solver_registry
+from repro.experiments.common import ExperimentResult, ExperimentSpec, run_cohorts
+from repro.krylov.registry import batch_solve
 from repro.linalg.matgen import poisson_2d
 from repro.reliability.events import FaultEvent, FaultRecord
 from repro.reliability.registry import resolve_faults
@@ -107,50 +106,28 @@ def run(
     seed:
         Root seed.
     """
-    scenario = {
-        "grid": grid, "n_trials": n_trials, "inject_at": inject_at, "tol": tol,
-        "check_period": check_period, "faults": faults, "seed": seed,
-    }
-    return _run_cohort([scenario], _solve_each)[0]
+    return _run_cohort([dict(locals())])[0]
 
 
 def run_batch(params_list: List[Mapping]) -> List[ExperimentResult]:
     """Run several E1 scenarios in lockstep; results identical to :func:`run`.
 
-    The scenarios (typically one per seed) must agree on every
-    parameter except ``seed``; incompatible sets fall back to
-    sequential :func:`run` calls.  Each (bit-class, solver) cell of
-    every trial solves all scenarios as one batched
-    :func:`repro.krylov.registry.batch_solve` call, with per-scenario
-    fault hooks drawing from per-scenario RNG streams in the exact
-    sequential order (hook creation before the trial's solve, victim
-    draw at fire time inside it).  A null fault model needs one call
-    per solver for the whole cohort.
+    Scenarios that agree on every parameter except ``seed`` share one
+    cohort; any other set runs one scenario at a time
+    (:func:`~repro.experiments.common.run_cohorts`).
     """
-    resolved = [_bind_defaults(p) for p in params_list]
-    if not resolved:
-        return []
-    if len(resolved) == 1 or not _compatible(resolved):
-        return [run(**dict(p)) for p in params_list]
-    return _run_cohort(resolved, batch_solve)
+    return run_cohorts(run, _run_cohort, params_list)
 
 
-def _solve_each(solver, operator, bs, *, lane_params=None, **params):
-    """:func:`batch_solve`'s signature, as one registry solve per lane."""
-    entry = default_solver_registry().get(solver)
-    lane_params = lane_params or [{}] * len(bs)
-    return [
-        entry.solve(operator, b, **dict(params, **lane))
-        for b, lane in zip(bs, lane_params)
-    ]
-
-
-def _run_cohort(scenarios: List[Mapping], solve) -> List[ExperimentResult]:
+def _run_cohort(scenarios: List[Mapping]) -> List[ExperimentResult]:
     """Run scenarios that differ only in ``seed``, one lane each.
 
-    ``solve`` is :func:`batch_solve` (lockstep lanes) or
-    :func:`_solve_each` (sequential solves); both give every lane the
-    result of its own registry solve, so the two paths are bit-identical.
+    Each (bit-class, solver) cell of every trial solves all lanes as one
+    :func:`repro.krylov.registry.batch_solve` call (sequential for a
+    single lane), with per-scenario fault hooks drawing from
+    per-scenario RNG streams in the exact sequential order (hook
+    creation before the trial's solve, victim draw at fire time inside
+    it).  A null fault model needs one call per solver for the cohort.
     """
     shared = scenarios[0]
     n_trials = shared["n_trials"]
@@ -162,25 +139,23 @@ def _run_cohort(scenarios: List[Mapping], solve) -> List[ExperimentResult]:
     lanes = range(len(scenarios))
 
     gmres_params = {"tol": tol, "restart": 30, "maxiter": 600}
-    baselines = solve("gmres", matrix, b_list, **gmres_params)
+    baselines = batch_solve("gmres", matrix, b_list, **gmres_params)
     solver_flops = [2.0 * matrix.nnz * max(r.iterations, 1) for r in baselines]
     # Setup runs in reliable mode (the SkP assumption): one trusted
-    # ||A|| per scenario, probed from the clean matrix, serves every
-    # skeptical trial (E1 corrupts the basis, never the operator).
-    norms = [estimate_operator_norm(matrix, b) for b in b_list]
+    # ||A||, probed from the clean matrix, serves every skeptical trial
+    # (E1 corrupts the basis, never the operator).  The probe draws from
+    # a fixed seed and reads only the size of b, so one serves the cohort.
+    norm = estimate_operator_norm(matrix, b_list[0])
 
     def solve_trial(skeptical, hooks):
         if skeptical:
-            return solve(
+            return batch_solve(
                 "sdc_gmres", matrix, b_list, policy="skeptical_restart",
-                check_period=shared["check_period"],
-                lane_params=[
-                    {"operator_norm": norm, "fault_hook": hook}
-                    for norm, hook in zip(norms, hooks)
-                ],
+                check_period=shared["check_period"], operator_norm=norm,
+                lane_params=[{"fault_hook": hook} for hook in hooks],
                 **gmres_params,
             )
-        return solve(
+        return batch_solve(
             "gmres", matrix, b_list,
             lane_params=[{"iteration_hook": hook} for hook in hooks], **gmres_params,
         )
@@ -250,22 +225,6 @@ def _run_cohort(scenarios: List[Mapping], solve) -> List[ExperimentResult]:
         )
         for s in lanes
     ]
-
-
-def _bind_defaults(params: Mapping) -> dict:
-    """Apply :func:`run`'s keyword defaults to one scenario's parameters."""
-    bound = inspect.signature(run).bind(**dict(params))
-    bound.apply_defaults()
-    return dict(bound.arguments)
-
-
-def _compatible(resolved: List[dict]) -> bool:
-    """Whether the scenarios agree on everything except the seed."""
-    reference = {k: v for k, v in resolved[0].items() if k != "seed"}
-    return all(
-        {k: v for k, v in p.items() if k != "seed"} == reference
-        for p in resolved[1:]
-    )
 
 
 def _resolve_template(faults):

@@ -129,13 +129,16 @@ def run(
                 _calls["n"] += 1
                 return _inj.maybe_inject(matrix.matvec(x), now=float(_calls["n"]))
 
-            result = solvers.get("gmres").solve(
-                unreliable_op, b, tol=tol, restart=30,
-                maxiter=outer_maxiter * inner_maxiter,
-            )
-            true_res = float(
-                np.linalg.norm(b - matrix.matvec(np.asarray(result.x))) / b_norm
-            )
+            # Exponent flips overflow by design; the true-residual test
+            # below classifies those answers itself.
+            with np.errstate(over="ignore", invalid="ignore"):
+                result = solvers.get("gmres").solve(
+                    unreliable_op, b, tol=tol, restart=30,
+                    maxiter=outer_maxiter * inner_maxiter,
+                )
+                true_res = float(
+                    np.linalg.norm(b - matrix.matvec(np.asarray(result.x))) / b_norm
+                )
             conv += int(result.converged and np.isfinite(true_res) and true_res <= 10 * tol)
             residuals.append(true_res if np.isfinite(true_res) else 1.0)
             iters.append(result.iterations)
@@ -159,19 +162,21 @@ def run(
                 extra["environment"] = fault_model.environment(
                     seed=seed + 7 * trial, cost_model=cost_model
                 )
-            result = solvers.get("ft_gmres").solve(
-                matrix, b, tol=tol,
-                outer_maxiter=outer_maxiter, outer_restart=outer_maxiter,
-                inner_tol=1e-2, inner_maxiter=inner_maxiter, inner_restart=inner_maxiter,
-                fault_probability=fault_model.probability,
-                bit_range=fault_model.bits,
-                seed=seed + 7 * trial,
-                cost_model=cost_model,
-                **extra,
-            )
-            true_res = float(
-                np.linalg.norm(b - matrix.matvec(np.asarray(result.x))) / b_norm
-            )
+            with np.errstate(over="ignore", invalid="ignore"):
+                result = solvers.get("ft_gmres").solve(
+                    matrix, b, tol=tol,
+                    outer_maxiter=outer_maxiter, outer_restart=outer_maxiter,
+                    inner_tol=1e-2, inner_maxiter=inner_maxiter,
+                    inner_restart=inner_maxiter,
+                    fault_probability=fault_model.probability,
+                    bit_range=fault_model.bits,
+                    seed=seed + 7 * trial,
+                    cost_model=cost_model,
+                    **extra,
+                )
+                true_res = float(
+                    np.linalg.norm(b - matrix.matvec(np.asarray(result.x))) / b_norm
+                )
             conv += int(result.converged and np.isfinite(true_res) and true_res <= 10 * tol)
             residuals.append(true_res if np.isfinite(true_res) else 1.0)
             iters.append(result.iterations)

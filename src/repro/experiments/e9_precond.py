@@ -42,19 +42,21 @@ convergence across the board.
 
 from __future__ import annotations
 
-import contextlib
-import inspect
 from typing import List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.experiments.common import ExperimentResult, ExperimentSpec
+from repro.experiments.common import (
+    ExperimentResult,
+    ExperimentSpec,
+    run_cohorts,
+    trusted_scores,
+    unreliable_domains,
+)
 from repro.krylov.registry import batch_solve, default_solver_registry
 from repro.linalg.matgen import poisson_2d
 from repro.precond import parse_precond, resolve_preconds
-from repro.reliability import unreliable
 from repro.reliability.registry import resolve_faults
-from repro.reliability.sdc import classify_outcome
 from repro.reliability.seeding import derive_fault_seed
 from repro.utils.rng import RngFactory
 from repro.utils.tables import Table
@@ -128,133 +130,17 @@ def run(
     seed:
         Root seed: right-hand side and per-cell fault streams.
     """
-    check_in(target, ("precond", "operator"), "target")
-    registry = default_solver_registry()
-    if solvers is None:
-        solver_list = list(_DEFAULT_SOLVERS)
-    elif isinstance(solvers, str):
-        solver_list = [solvers]
-    else:
-        solver_list = list(solvers)
-    if preconds is None:
-        from repro.precond import precond_names
+    return _run_cohort([dict(locals())])[0]
 
-        precond_list = precond_names()
-    elif isinstance(preconds, str):
-        precond_list = [preconds]
-    else:
-        precond_list = list(preconds)
 
-    fault_model = resolve_faults(faults)
-    soft_model = fault_model.soft_component()
+def run_batch(params_list: List[Mapping]) -> List[ExperimentResult]:
+    """Run several E9 scenarios in lockstep; results identical to :func:`run`.
 
-    matrix = poisson_2d(grid)
-    factory = RngFactory(seed)
-    b = factory.spawn("rhs").standard_normal(matrix.n_rows)
-    x_ref = np.linalg.solve(matrix.to_dense(), b)
-    x_ref_norm = float(np.linalg.norm(x_ref))
-
-    table = Table(
-        ["solver", "precond", "iterations", "converged", "faults", "error",
-         "outcome"],
-        title=f"E9: solver x preconditioner x fault matrix "
-              f"(faults target the {target})",
-    )
-
-    n_runs = 0
-    n_correct = 0
-    n_silent = 0
-    total_faults = 0
-    for solver_name in solver_list:
-        solver = registry.get(solver_name)
-        for precond_name in precond_list:
-            # Setup runs in reliable mode (the SRP assumption): the
-            # preconditioner is always built from the clean matrix.
-            built = resolve_preconds(precond_name, matrix=matrix)
-            precond_label = parse_precond(precond_name).to_string()
-            fault_seed = derive_fault_seed(seed, f"{solver.name}/{precond_label}")
-
-            params = {"tol": tol}
-            if solver.name == "ft_gmres":
-                params.update(outer_maxiter=min(maxiter, 50), inner_maxiter=20,
-                              seed=fault_seed)
-            else:
-                params["maxiter"] = maxiter
-
-            faults_hit = 0
-            with np.errstate(over="ignore", invalid="ignore"):
-                if soft_model is not None and target == "precond" and built is not None:
-                    with unreliable(soft_model, seed=fault_seed,
-                                    name=f"precond/{solver.name}") as domain:
-                        wrapped = domain.preconditioner(
-                            built, flops_per_call=float(matrix.nnz)
-                        )
-                        result = solver.solve(matrix, b, precond=wrapped, **params)
-                    faults_hit = domain.faults_injected()
-                elif soft_model is not None and target == "operator":
-                    environment = soft_model.environment(seed=fault_seed)
-                    operator = environment.unreliable_operator(
-                        matrix.matvec, flops_per_call=2.0 * matrix.nnz
-                    )
-                    result = solver.solve(operator, b, precond=built, **params)
-                    faults_hit = environment.faults_injected()
-                else:
-                    result = solver.solve(matrix, b, precond=built, **params)
-
-            x = np.asarray(result.x, dtype=np.float64)
-            finite = bool(np.all(np.isfinite(x)))
-            error = (
-                float(np.linalg.norm(x - x_ref)) / x_ref_norm
-                if finite else float("inf")
-            )
-            outcome = classify_outcome(
-                converged=result.converged,
-                error_norm=error,
-                tolerance=error_tolerance,
-                detected=result.detected_faults > 0,
-            )
-            table.add_row(
-                solver.name,
-                precond_label,
-                result.iterations,
-                result.converged,
-                faults_hit,
-                f"{error:.3e}" if finite else "inf",
-                outcome,
-            )
-            n_runs += 1
-            total_faults += faults_hit
-            n_silent += int(outcome == "sdc")
-            n_correct += int(result.converged and error <= error_tolerance)
-
-    summary = {
-        "n_runs": n_runs,
-        "n_solvers": len(solver_list),
-        "n_preconds": len(precond_list),
-        "n_correct": n_correct,
-        "n_silent_corruptions": n_silent,
-        "total_faults_injected": total_faults,
-        "target": target,
-        "faults": fault_model.describe(),
-    }
-    parameters = {
-        "grid": grid,
-        "solvers": tuple(solver_list),
-        "preconds": tuple(precond_list),
-        "faults": fault_model.describe(),
-        "target": target,
-        "tol": tol,
-        "maxiter": maxiter,
-        "error_tolerance": error_tolerance,
-        "seed": seed,
-    }
-    return ExperimentResult(
-        experiment="E9",
-        claim=_CLAIM,
-        table=table,
-        summary=summary,
-        parameters=parameters,
-    )
+    Scenarios that agree on every parameter except ``seed`` share one
+    cohort; any other set runs one scenario at a time
+    (:func:`~repro.experiments.common.run_cohorts`).
+    """
+    return run_cohorts(run, _run_cohort, params_list)
 
 
 _CLAIM = (
@@ -265,47 +151,32 @@ _CLAIM = (
 )
 
 
-def run_batch(params_list: List[Mapping]) -> List[ExperimentResult]:
-    """Run several E9 scenarios in lockstep; results identical to :func:`run`.
+def _run_cohort(scenarios: List[Mapping]) -> List[ExperimentResult]:
+    """Run scenarios that differ only in ``seed``, one lane each.
 
-    The scenarios (typically one per seed) must agree on every
-    parameter except ``seed``; incompatible sets fall back to
-    sequential :func:`run` calls.  Each (solver, preconditioner) cell
-    solves all scenarios as one :func:`repro.krylov.registry.batch_solve`
-    call.  Selective reliability stays per-lane: every lane gets its own
-    freshly built preconditioner wrapped in its own
-    :func:`~repro.reliability.unreliable` domain (domains carry no
-    global state, so ``S`` of them coexist), or its own fault-injecting
-    operator when the fault targets the operator, each seeded exactly
-    as the sequential run seeds it.  FT-GMRES runs sequentially per
-    lane, built exactly as :func:`run` builds it.
+    Each (solver, preconditioner) cell solves every lane in one
+    :func:`repro.krylov.registry.batch_solve` call.  Selective
+    reliability stays per lane: every lane gets its own preconditioner,
+    built from the clean matrix and wrapped in its own unreliable
+    domain, or its own fault-injecting operator when the fault targets
+    the operator, each seeded from the lane's own scenario.
     """
-    resolved = [_bind_defaults(p) for p in params_list]
-    if not resolved:
-        return []
-    if len(resolved) == 1 or not _compatible(resolved):
-        return [run(**dict(p)) for p in params_list]
-
-    shared = resolved[0]
-    grid = shared["grid"]
-    solvers = shared["solvers"]
-    preconds = shared["preconds"]
-    faults = shared["faults"]
+    shared = scenarios[0]
     target = shared["target"]
     tol = shared["tol"]
     maxiter = shared["maxiter"]
-    error_tolerance = shared["error_tolerance"]
-    seeds = [p["seed"] for p in resolved]
-    n_scenarios = len(resolved)
+    seeds = [p["seed"] for p in scenarios]
 
     check_in(target, ("precond", "operator"), "target")
     registry = default_solver_registry()
+    solvers = shared["solvers"]
     if solvers is None:
         solver_list = list(_DEFAULT_SOLVERS)
     elif isinstance(solvers, str):
         solver_list = [solvers]
     else:
         solver_list = list(solvers)
+    preconds = shared["preconds"]
     if preconds is None:
         from repro.precond import precond_names
 
@@ -315,16 +186,12 @@ def run_batch(params_list: List[Mapping]) -> List[ExperimentResult]:
     else:
         precond_list = list(preconds)
 
-    fault_model = resolve_faults(faults)
+    fault_model = resolve_faults(shared["faults"])
     soft_model = fault_model.soft_component()
 
-    matrix = poisson_2d(grid)
-    dense = matrix.to_dense()
-    b_list = [
-        RngFactory(s).spawn("rhs").standard_normal(matrix.n_rows) for s in seeds
-    ]
-    x_refs = [np.linalg.solve(dense, b) for b in b_list]
-    x_ref_norms = [float(np.linalg.norm(x)) for x in x_refs]
+    matrix = poisson_2d(shared["grid"])
+    b_list = [RngFactory(s).spawn("rhs").standard_normal(matrix.n_rows) for s in seeds]
+    scores = trusted_scores(matrix, b_list, shared["error_tolerance"])
 
     tables = [
         Table(
@@ -333,218 +200,88 @@ def run_batch(params_list: List[Mapping]) -> List[ExperimentResult]:
             title=f"E9: solver x preconditioner x fault matrix "
                   f"(faults target the {target})",
         )
-        for _ in range(n_scenarios)
+        for _ in scenarios
     ]
-    counters = [
-        {"n_runs": 0, "n_correct": 0, "n_silent": 0, "total_faults": 0}
-        for _ in range(n_scenarios)
-    ]
-
     for solver_name in solver_list:
         solver = registry.get(solver_name)
         for precond_name in precond_list:
-            # Built per lane: stateful preconditioners (and the
-            # injecting domain proxies around them) must not be shared
-            # across lanes, exactly as S sequential runs build S of
-            # them from the clean matrix.
-            builts = [
-                resolve_preconds(precond_name, matrix=matrix)
-                for _ in range(n_scenarios)
-            ]
+            # Setup runs in reliable mode (the SRP assumption): the
+            # preconditioner is always built from the clean matrix, once
+            # per lane -- stateful preconditioners (and the injecting
+            # domain proxies around them) must not be shared.
+            builts = [resolve_preconds(precond_name, matrix=matrix) for _ in seeds]
             precond_label = parse_precond(precond_name).to_string()
             fault_seeds = [
-                derive_fault_seed(s, f"{solver.name}/{precond_label}")
-                for s in seeds
+                derive_fault_seed(s, f"{solver.name}/{precond_label}") for s in seeds
             ]
-
+            lane_params = [{"precond": built} for built in builts]
             if solver.name == "ft_gmres":
-                results, faults_hits = _solve_cell_sequential(
-                    solver, matrix, b_list, builts, fault_seeds,
-                    soft_model=soft_model, target=target, tol=tol,
-                    maxiter=maxiter,
-                )
+                params = dict(outer_maxiter=min(maxiter, 50), inner_maxiter=20)
+                for lane, fs in zip(lane_params, fault_seeds):
+                    lane["seed"] = fs
             else:
-                results, faults_hits = _solve_cell_batched(
-                    solver, matrix, b_list, builts, fault_seeds,
-                    soft_model=soft_model, target=target, tol=tol,
-                    maxiter=maxiter, registry=registry,
-                )
+                params = {"maxiter": maxiter}
 
-            for s in range(n_scenarios):
-                result = results[s]
-                x = np.asarray(result.x, dtype=np.float64)
-                finite = bool(np.all(np.isfinite(x)))
-                error = (
-                    float(np.linalg.norm(x - x_refs[s])) / x_ref_norms[s]
-                    if finite else float("inf")
+            injecting = []
+            operators = None
+            if soft_model is not None and target == "precond" and builts[0] is not None:
+                injecting = unreliable_domains(
+                    soft_model, fault_seeds, f"precond/{solver.name}"
                 )
-                outcome = classify_outcome(
-                    converged=result.converged,
-                    error_norm=error,
-                    tolerance=error_tolerance,
-                    detected=result.detected_faults > 0,
+                for lane, domain in zip(lane_params, injecting):
+                    lane["precond"] = domain.preconditioner(
+                        lane["precond"], flops_per_call=float(matrix.nnz)
+                    )
+            elif soft_model is not None and target == "operator":
+                injecting = [soft_model.environment(seed=fs) for fs in fault_seeds]
+                operators = [
+                    env.unreliable_operator(matrix.matvec, flops_per_call=2.0 * matrix.nnz)
+                    for env in injecting
+                ]
+            with np.errstate(over="ignore", invalid="ignore"):
+                results = batch_solve(
+                    solver.name, matrix, b_list, lane_params=lane_params,
+                    operators=operators, registry=registry, tol=tol, **params,
                 )
-                tables[s].add_row(
+            faults_hits = [f.faults_injected() for f in injecting] or [0] * len(seeds)
+
+            for table, score, result, faults_hit in zip(tables, scores, results, faults_hits):
+                error_text, outcome, _ = score.score(result, faults_hit)
+                table.add_row(
                     solver.name,
                     precond_label,
                     result.iterations,
                     result.converged,
-                    faults_hits[s],
-                    f"{error:.3e}" if finite else "inf",
+                    faults_hit,
+                    error_text,
                     outcome,
-                )
-                cell = counters[s]
-                cell["n_runs"] += 1
-                cell["total_faults"] += faults_hits[s]
-                cell["n_silent"] += int(outcome == "sdc")
-                cell["n_correct"] += int(
-                    result.converged and error <= error_tolerance
                 )
 
     out = []
-    for s in range(n_scenarios):
-        cell = counters[s]
+    for scenario, table, score in zip(scenarios, tables, scores):
         summary = {
-            "n_runs": cell["n_runs"],
+            "n_runs": score.n_runs,
             "n_solvers": len(solver_list),
             "n_preconds": len(precond_list),
-            "n_correct": cell["n_correct"],
-            "n_silent_corruptions": cell["n_silent"],
-            "total_faults_injected": cell["total_faults"],
+            "n_correct": score.n_correct,
+            "n_silent_corruptions": score.n_silent,
+            "total_faults_injected": score.total_faults,
             "target": target,
             "faults": fault_model.describe(),
         }
         parameters = {
-            "grid": grid,
+            "grid": shared["grid"],
             "solvers": tuple(solver_list),
             "preconds": tuple(precond_list),
             "faults": fault_model.describe(),
             "target": target,
             "tol": tol,
             "maxiter": maxiter,
-            "error_tolerance": error_tolerance,
-            "seed": seeds[s],
+            "error_tolerance": shared["error_tolerance"],
+            "seed": scenario["seed"],
         }
-        out.append(
-            ExperimentResult(
-                experiment="E9",
-                claim=_CLAIM,
-                table=tables[s],
-                summary=summary,
-                parameters=parameters,
-            )
-        )
+        out.append(ExperimentResult(
+            experiment="E9", claim=_CLAIM, table=table, summary=summary,
+            parameters=parameters,
+        ))
     return out
-
-
-def _solve_cell_batched(
-    solver, matrix, b_list, builts, fault_seeds, *,
-    soft_model, target, tol, maxiter, registry,
-):
-    """One (solver, precond) cell for all lanes via ``batch_solve``."""
-    n_scenarios = len(b_list)
-    params = {"tol": tol, "maxiter": maxiter}
-    with np.errstate(over="ignore", invalid="ignore"):
-        if soft_model is not None and target == "precond" and builts[0] is not None:
-            with contextlib.ExitStack() as stack:
-                domains = [
-                    stack.enter_context(
-                        unreliable(soft_model, seed=fault_seeds[s],
-                                   name=f"precond/{solver.name}")
-                    )
-                    for s in range(n_scenarios)
-                ]
-                wrapped = [
-                    domains[s].preconditioner(
-                        builts[s], flops_per_call=float(matrix.nnz)
-                    )
-                    for s in range(n_scenarios)
-                ]
-                results = batch_solve(
-                    solver.name, matrix, b_list,
-                    lane_params=[{"precond": w} for w in wrapped],
-                    registry=registry, **params,
-                )
-            faults_hits = [domain.faults_injected() for domain in domains]
-        elif soft_model is not None and target == "operator":
-            environments = [
-                soft_model.environment(seed=fs) for fs in fault_seeds
-            ]
-            operators = [
-                env.unreliable_operator(
-                    matrix.matvec, flops_per_call=2.0 * matrix.nnz
-                )
-                for env in environments
-            ]
-            results = batch_solve(
-                solver.name, matrix, b_list,
-                lane_params=[{"precond": built} for built in builts],
-                operators=operators, registry=registry, **params,
-            )
-            faults_hits = [env.faults_injected() for env in environments]
-        else:
-            results = batch_solve(
-                solver.name, matrix, b_list,
-                lane_params=[{"precond": built} for built in builts],
-                registry=registry, **params,
-            )
-            faults_hits = [0] * n_scenarios
-    return results, faults_hits
-
-
-def _solve_cell_sequential(
-    solver, matrix, b_list, builts, fault_seeds, *,
-    soft_model, target, tol, maxiter,
-):
-    """One (solver, precond) cell lane by lane, exactly as :func:`run`."""
-    results = []
-    faults_hits = []
-    for s in range(len(b_list)):
-        built = builts[s]
-        fault_seed = fault_seeds[s]
-        params = {"tol": tol}
-        if solver.name == "ft_gmres":
-            params.update(outer_maxiter=min(maxiter, 50), inner_maxiter=20,
-                          seed=fault_seed)
-        else:
-            params["maxiter"] = maxiter
-        faults_hit = 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            if soft_model is not None and target == "precond" and built is not None:
-                with unreliable(soft_model, seed=fault_seed,
-                                name=f"precond/{solver.name}") as domain:
-                    wrapped = domain.preconditioner(
-                        built, flops_per_call=float(matrix.nnz)
-                    )
-                    result = solver.solve(matrix, b_list[s], precond=wrapped,
-                                          **params)
-                faults_hit = domain.faults_injected()
-            elif soft_model is not None and target == "operator":
-                environment = soft_model.environment(seed=fault_seed)
-                operator = environment.unreliable_operator(
-                    matrix.matvec, flops_per_call=2.0 * matrix.nnz
-                )
-                result = solver.solve(operator, b_list[s], precond=built,
-                                      **params)
-                faults_hit = environment.faults_injected()
-            else:
-                result = solver.solve(matrix, b_list[s], precond=built, **params)
-        results.append(result)
-        faults_hits.append(faults_hit)
-    return results, faults_hits
-
-
-def _bind_defaults(params: Mapping) -> dict:
-    """Apply :func:`run`'s keyword defaults to one scenario's parameters."""
-    bound = inspect.signature(run).bind(**dict(params))
-    bound.apply_defaults()
-    return dict(bound.arguments)
-
-
-def _compatible(resolved: List[dict]) -> bool:
-    """Whether the scenarios agree on everything except the seed."""
-    reference = {k: v for k, v in resolved[0].items() if k != "seed"}
-    return all(
-        {k: v for k, v in p.items() if k != "seed"} == reference
-        for p in resolved[1:]
-    )

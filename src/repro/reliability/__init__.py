@@ -73,9 +73,6 @@ Module map (mechanism -> declarative layer):
   precision as a bounded-error fault model; the fourth sweepable axis).
 * :mod:`~repro.reliability.seeding` -- the per-scenario seed
   derivation shared with the campaign runner.
-
-The historical import paths ``repro.faults`` and ``repro.srp`` remain
-as deprecated shims re-exporting this package.
 """
 
 from repro.reliability.bitflip import (

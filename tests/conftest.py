@@ -18,9 +18,10 @@ def pytest_addoption(parser):
         "--update-parity",
         action="store_true",
         default=False,
-        help="regenerate tests/data/engine_parity.json from the current "
-        "solvers instead of asserting against it (see "
-        "tests/test_engine_parity.py)",
+        help="regenerate tests/data/engine_parity.json and "
+        "tests/data/driver_wiring.json from the current code instead of "
+        "asserting against them (see tests/test_engine_parity.py and "
+        "tests/test_driver_wiring.py)",
     )
 
 

@@ -28,7 +28,6 @@ from repro.analysis.runner import find_repo_root, run_analysis
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 EXPECTED_RULES = [
-    "deprecated-import",
     "determinism",
     "doc-links",
     "driver-contract",
@@ -580,50 +579,6 @@ class TestDocLinksRule:
 
 
 # ---------------------------------------------------------------------------
-# Rule: deprecated-import
-# ---------------------------------------------------------------------------
-
-
-class TestDeprecatedImportRule:
-    def test_shim_imports_flagged(self, tmp_path):
-        report = run_rules(
-            tmp_path,
-            {
-                "mod.py": """\
-                import repro.faults
-                from repro.srp import region
-                from repro.reliability import injector
-                """
-            },
-            ["deprecated-import"],
-        )
-        assert [f.line for f in report.findings] == [1, 2]
-        assert all("repro.reliability instead" in f.message for f in report.findings)
-
-    def test_shim_modules_may_self_reference(self, tmp_path):
-        report = run_rules(
-            tmp_path,
-            {
-                "src/repro/faults/__init__.py": "from repro.faults import bitflip\n",
-                "src/repro/srp/__init__.py": "import repro.srp.region\n",
-            },
-            ["deprecated-import"],
-        )
-        assert report.findings == []
-
-    def test_suppression(self, tmp_path):
-        report = run_rules(
-            tmp_path,
-            {
-                "mod.py": "import repro.faults  # repro: allow(deprecated-import)\n"
-            },
-            ["deprecated-import"],
-        )
-        assert report.findings == []
-        assert len(report.suppressed) == 1
-
-
-# ---------------------------------------------------------------------------
 # Runner mechanics
 # ---------------------------------------------------------------------------
 
@@ -703,7 +658,7 @@ class TestCli:
     def test_list_text(self, capsys):
         assert cli_main(["list"]) == 0
         out = capsys.readouterr().out
-        assert "registered analysis rules (7):" in out
+        assert "registered analysis rules (6):" in out
         for name in EXPECTED_RULES:
             assert name in out
 
@@ -716,14 +671,16 @@ class TestCli:
     def test_run_json_baseline_roundtrip(self, tmp_path, capsys):
         pkg = tmp_path / "pkg"
         pkg.mkdir()
-        (pkg / "mod.py").write_text("import repro.faults\n", encoding="utf-8")
+        (pkg / "mod.py").write_text(
+            "import numpy as np\nnp.random.rand(4)\n", encoding="utf-8"
+        )
 
         code = cli_main(["run", str(pkg), "--format", "json", "--no-baseline"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 1
         assert payload["ok"] is False
         assert payload["counts"]["active"] == 1
-        assert payload["findings"][0]["rule"] == "deprecated-import"
+        assert payload["findings"][0]["rule"] == "determinism"
 
         baseline_path = tmp_path / "baseline.json"
         code = cli_main(

@@ -145,6 +145,24 @@ class TestEngineParity:
             assert len(iterations) > 1, "tolerance mix should stagger exits"
             assert_lane_parity(batched, sequential)
 
+    @pytest.mark.parametrize("solver", ["gmres", "cg", "sdc_gmres"])
+    def test_single_lane_runs_sequentially(self, matrix, rhs, monkeypatch, solver):
+        # Lockstep only pays off across lanes: one lane must never enter
+        # the batch engine, and still equals its solve() call.
+        from repro.krylov.engine import batch
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-lane batch_solve entered the lockstep engine")
+
+        monkeypatch.setattr(batch, "run_arnoldi_batch", refuse)
+        monkeypatch.setattr(batch, "run_cg_batch", refuse)
+        kwargs = dict(tol=1e-8, maxiter=400)
+        if solver == "sdc_gmres":
+            kwargs["policy"] = "skeptical_restart"
+        (lane,) = batch_solve(solver, matrix, rhs[:1], **kwargs)
+        solo = default_solver_registry().get(solver).solve(matrix, rhs[0], **kwargs)
+        assert_lane_parity([lane], [solo])
+
     def test_non_converging_lane(self, matrix, rhs):
         # A lane that exhausts maxiter must report non-convergence with
         # the exact sequential history, without stalling its siblings.

@@ -27,6 +27,7 @@ import pytest
 
 from repro.campaign.spec import canonical_json
 from repro.experiments import e1_sdc_detection as e1
+from repro.experiments import e8_solvers as e8
 from repro.krylov import registry as kregistry
 from repro.krylov.registry import batch_solve, default_solver_registry
 from repro.linalg.matgen import poisson_2d
@@ -258,11 +259,11 @@ def test_null_cohort_makes_one_batch_solve_per_solver(monkeypatch):
     assert [args[0] for args in solves] == ["gmres", "sdc_gmres"]
 
 
-def _count_norm_probes(monkeypatch):
+def _count_norm_probes(monkeypatch, driver=e1):
     # The driver imports the function; the solver paths look it up in
     # gmres_sdc.  Route both through one counter.
     calls = _counting(monkeypatch, gmres_sdc, "estimate_operator_norm")
-    monkeypatch.setattr(e1, "estimate_operator_norm", gmres_sdc.estimate_operator_norm)
+    monkeypatch.setattr(driver, "estimate_operator_norm", gmres_sdc.estimate_operator_norm)
     return calls
 
 
@@ -272,13 +273,24 @@ def test_bitflip_scenario_probes_operator_norm_once(monkeypatch, quiet):
     assert len(probes) == 1
 
 
-def test_bitflip_cohort_probes_operator_norm_once_per_scenario(monkeypatch, quiet):
+# The probe draws from a fixed seed and reads only the size of its
+# vector, so one value serves every lane of a cohort.
+def test_bitflip_cohort_probes_operator_norm_once_per_cohort(monkeypatch, quiet):
     probes = _count_norm_probes(monkeypatch)
     e1.run_batch(
         [dict(grid=6, n_trials=2, inject_at=4, faults="bitflip:p=0.01", seed=s)
          for s in SEEDS]
     )
-    assert len(probes) == len(SEEDS)
+    assert len(probes) == 1
+
+
+def test_e8_cohort_probes_operator_norm_once_per_cohort(monkeypatch, quiet):
+    probes = _count_norm_probes(monkeypatch, e8)
+    e8.run_batch(
+        [dict(grid=6, solvers=("gmres", "sdc_gmres"), policy="skeptical",
+              faults="bitflip:p=0.02,bits=52..62", seed=s) for s in SEEDS]
+    )
+    assert len(probes) == 1
 
 
 # ----------------------------------------------------------------------

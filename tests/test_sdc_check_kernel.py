@@ -246,9 +246,12 @@ def test_kernel_failure_paths_match_reference(hook, settings, check_period):
     result = sdc_detecting_gmres(matrix, b, monitor=checks, fault_hook=hook, **options)
     assert _fingerprint(result) == expected
     assert _failures(checks.log) == _failures(monitor.log)
-    (lane,) = batch_solve("sdc_gmres", matrix, [b], policy="skeptical_restart",
-                          lane_params=[{"fault_hook": hook}], **options)
+    # Two lanes, so the lockstep check kernel runs: the faulted lane
+    # next to a clean sibling.
+    lane, clean = batch_solve("sdc_gmres", matrix, [b, b], policy="skeptical_restart",
+                              lane_params=[{"fault_hook": hook}, {}], **options)
     assert _fingerprint(lane) == expected
+    assert _fingerprint(clean) == _fingerprint(sdc_detecting_gmres(matrix, b, **options))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
